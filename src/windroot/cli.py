@@ -20,9 +20,12 @@ import time
 from dataclasses import dataclass
 from xml.etree import ElementTree as ET
 
-from .errors import InitialRegionSingularError, SubdivisionFailedError
+from .errors import (
+    InitialRegionSingularError,
+    NoConvergenceError,
+    SubdivisionFailedError,
+)
 from .geometry import ConvexRegion, contains, envelope
-from .oracle import roots_reference
 from .poly import Polynomial
 from .rdp import RdpStats, RootBox, choose_q, rdp
 
@@ -51,7 +54,6 @@ class RunRequest:
     svg: str | None
     verify: bool
     stats: bool
-    threads: int
 
 
 _TERM_RE = re.compile(
@@ -160,12 +162,6 @@ def _build_parser() -> _Parser:
     parser.add_argument(
         "--stats", action="store_true", help="include run statistics in the JSON"
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="maximum concurrent subdivision tasks",
-    )
     return parser
 
 
@@ -193,8 +189,6 @@ def _build_request(ns: argparse.Namespace) -> RunRequest:
         raise _ParseError(str(exc)) from exc
     if ns.accuracy <= 0:
         raise _ParseError("accuracy must be positive")
-    if ns.threads < 1:
-        raise _ParseError("threads must be at least 1")
     if ns.q is not None:
         if f.degree < 1:
             raise _ParseError("constant polynomial has no roots to isolate")
@@ -212,7 +206,6 @@ def _build_request(ns: argparse.Namespace) -> RunRequest:
         svg=ns.svg,
         verify=ns.verify,
         stats=ns.stats,
-        threads=ns.threads,
     )
 
 
@@ -324,7 +317,14 @@ def _write_svg(
 def _verify_boxes(
     f: Polynomial, region: ConvexRegion, boxes: list[RootBox]
 ) -> bool:
-    roots = roots_reference(f)
+    # Imported here so that only --verify pays for numpy, which oracle needs.
+    from .oracle import roots_reference
+
+    try:
+        roots = roots_reference(f)
+    except NoConvergenceError as exc:
+        print(f"verify: no reference roots: {exc}", file=sys.stderr)
+        return False
     inside = sum(1 for z in roots if contains(region, z))
     ok = True
     total = 0
@@ -355,13 +355,7 @@ def run(request: RunRequest) -> int:
     """Execute one request; print JSON to stdout; return the exit code."""
     started = time.perf_counter()
     try:
-        boxes, stats = rdp(
-            request.region,
-            request.f,
-            request.accuracy,
-            q=request.q,
-            threads=request.threads,
-        )
+        boxes, stats = rdp(request.region, request.f, request.accuracy, q=request.q)
     except InitialRegionSingularError as exc:
         print(f"windroot: {exc}", file=sys.stderr)
         return 2

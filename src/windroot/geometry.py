@@ -77,9 +77,12 @@ class ConvexRegion:
         for i in range(n):
             if vertices[i] == vertices[(i + 1) % n]:
                 raise ValueError(f"repeated consecutive vertex {vertices[i]!r}")
+        # Summed relative to the first vertex: untranslated, the products
+        # of coordinates far larger than the polygon swamp its area.
+        origin = vertices[0]
         area2 = 0.0
         for i in range(n):
-            a, b = vertices[i], vertices[(i + 1) % n]
+            a, b = vertices[i] - origin, vertices[(i + 1) % n] - origin
             area2 += a.real * b.imag - b.real * a.imag
         if area2 <= 0.0:
             raise ValueError("vertices must wind counterclockwise")

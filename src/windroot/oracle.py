@@ -129,7 +129,8 @@ def roots_reference(f: Polynomial) -> RootList:
     other approximations, so the set converges to all roots at once.
     Multiple roots converge to a tight cluster; points closer than 1e-7
     are merged into their centroid, repeated with the cluster size.
-    Raises NoConvergenceError after 1000 sweeps without stabilizing.
+    Raises NoConvergenceError after 1000 sweeps without stabilizing, or
+    when an approximation is not finite.
     """
     n = f.degree
     if n < 1:
@@ -137,7 +138,14 @@ def roots_reference(f: Polynomial) -> RootList:
     coeffs = f.coeffs
     dcoeffs = tuple((k + 1) * c for k, c in enumerate(coeffs[1:]))
     abs_coeffs = tuple(abs(c) for c in coeffs)
-    radius = 1.0 + max(abs(c / coeffs[-1]) for c in coeffs[:-1])
+    # Fujiwara's bound 2*max_k |a_(n-k)/a_n|^(1/k), with the a_0 term
+    # halved, encloses every root.  Unlike the Cauchy radius
+    # 1 + max|a_k/a_n| it does not grow like a coefficient, so z**n stays
+    # finite at the initial guesses of high-degree polynomials.
+    lead = coeffs[-1]
+    terms = [abs(coeffs[n - k] / lead) ** (1.0 / k) for k in range(1, n)]
+    terms.append(abs(coeffs[0] / (2.0 * lead)) ** (1.0 / n))
+    radius = 2.0 * max(terms) or 1.0
 
     # Deterministic, deliberately asymmetric guesses: symmetric starts
     # stall on symmetric root sets.
@@ -180,6 +188,9 @@ def roots_reference(f: Polynomial) -> RootList:
         raise NoConvergenceError(
             f"root iteration did not stabilize in {_MAX_SWEEPS} sweeps"
         )
+    # A non-finite approximation passes the step test above unnoticed.
+    if not all(cmath.isfinite(z) for z in zs):
+        raise NoConvergenceError("root iteration produced a non-finite value")
 
     # Merge clusters (multiple roots) into centroids with multiplicity.
     merged: list[complex] = []

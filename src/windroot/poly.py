@@ -9,8 +9,8 @@ repeats from its cache.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-import threading
 from dataclasses import dataclass, field
 
 __all__ = ["Polynomial", "EvalCounter", "eval", "derivative", "lipschitz_bound"]
@@ -58,17 +58,13 @@ class EvalCounter:
     """Evaluation meter with a point -> value memo for a single polynomial.
 
     ``evaluations`` increments exactly once per cache miss and never on a
-    hit.  A counter must not be shared between different polynomials (the
-    cache is keyed by the point alone).  Concurrent use is safe: misses
-    are settled under an internal lock, so racing lookups of the same
-    point yield one evaluation and identical values.
+    hit.  One counter serves one run: it must not be shared between
+    different polynomials (the cache is keyed by the point alone) and is
+    not safe for concurrent use.
     """
 
     evaluations: int = 0
     cache: dict[complex, complex] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self._lock = threading.Lock()
 
 
 def _horner(coeffs: tuple[complex, ...], z: complex) -> complex:
@@ -90,18 +86,19 @@ def eval(f: Polynomial, z: complex, ctr: EvalCounter | None = None) -> complex:
     hit = ctr.cache.get(z)
     if hit is not None:
         return hit
-    with ctr._lock:
-        hit = ctr.cache.get(z)
-        if hit is not None:
-            return hit
-        value = _horner(f.coeffs, z)
-        ctr.cache[z] = value
-        ctr.evaluations += 1
+    value = _horner(f.coeffs, z)
+    ctr.cache[z] = value
+    ctr.evaluations += 1
     return value
 
 
+@functools.lru_cache(maxsize=1)
 def derivative(f: Polynomial) -> Polynomial:
-    """Return f' by the power rule; requires degree >= 1."""
+    """Return f' by the power rule; requires degree >= 1.
+
+    The last result is cached: a run asks for the derivative of the same
+    polynomial once per boundary test.
+    """
     if f.degree < 1:
         raise ValueError("derivative requires a polynomial of degree >= 1")
     return Polynomial(tuple((k + 1) * c for k, c in enumerate(f.coeffs[1:])))

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .errors import InitialRegionSingularError, SubdivisionFailedError
@@ -148,7 +147,7 @@ def _count_part(
     f: Polynomial,
     q: float,
     ctr: EvalCounter,
-    calls: list[tuple[float, float, int]],
+    stats: RdpStats,
 ) -> int | None:
     """Root count of a cut part, or None when its boundary test fails.
 
@@ -158,7 +157,7 @@ def _count_part(
         return 0
     curve = boundary(part)
     outcome = ipsr(curve, f, initial_samples(curve), q, ctr)
-    calls.append((curve.perimeter, q, outcome.insertions))
+    stats.ipsr_calls.append((curve.perimeter, q, outcome.insertions))
     if isinstance(outcome, SingularError):
         return None
     return outcome.index
@@ -170,8 +169,7 @@ def _try_cut(
     f: Polynomial,
     cfg: RdpConfig,
     ctr: EvalCounter,
-    calls: list[tuple[float, float, int]],
-    offsets: list[float],
+    stats: RdpStats,
 ) -> tuple[ConvexRegion, ConvexRegion, int, int]:
     """Cut ``region`` along ``axis`` at the first root-free trial line.
 
@@ -184,13 +182,13 @@ def _try_cut(
     for k in range(cfg.n0 + 2):
         lam = 0.0 if k == 0 else math.ceil(k / 2) * step * (1 if k % 2 else -1)
         a, b = cut(region, axis, lam)
-        ca = _count_part(a, f, cfg.q, ctr, calls)
+        ca = _count_part(a, f, cfg.q, ctr, stats)
         if ca is None:
             continue
-        cb = _count_part(b, f, cfg.q, ctr, calls)
+        cb = _count_part(b, f, cfg.q, ctr, stats)
         if cb is None:
             continue
-        offsets.append(lam)
+        stats.offsets.append(lam)
         return a, b, ca, cb
     raise SubdivisionFailedError(
         f"no root-free {axis} cut line after {cfg.n0 + 2} trial offsets "
@@ -198,37 +196,12 @@ def _try_cut(
     )
 
 
-def _divide(
-    region: ConvexRegion,
-    f: Polynomial,
-    cfg: RdpConfig,
-    ctr: EvalCounter,
-) -> tuple[
-    tuple[ConvexRegion, ConvexRegion, ConvexRegion, ConvexRegion],
-    tuple[int, int, int, int],
-    list[tuple[float, float, int]],
-    list[float],
-]:
-    """Quarter a region; also return boundary-test traces and accepted offsets."""
-    calls: list[tuple[float, float, int]] = []
-    offsets: list[float] = []
-    top, bottom, _, _ = _try_cut(region, "horizontal", f, cfg, ctr, calls, offsets)
-    left_t, right_t, cl_t, cr_t = _try_cut(
-        top, "vertical", f, cfg, ctr, calls, offsets
-    )
-    left_b, right_b, cl_b, cr_b = _try_cut(
-        bottom, "vertical", f, cfg, ctr, calls, offsets
-    )
-    parts = (right_t, left_t, right_b, left_b)
-    counts = (cr_t, cl_t, cr_b, cl_b)
-    return parts, counts, calls, offsets
-
-
 def divide(
     region: ConvexRegion,
     f: Polynomial,
     cfg: RdpConfig,
     ctr: EvalCounter,
+    stats: RdpStats,
 ) -> tuple[
     tuple[ConvexRegion, ConvexRegion, ConvexRegion, ConvexRegion],
     tuple[int, int, int, int],
@@ -237,11 +210,15 @@ def divide(
 
     Returns the parts in the order (top-right, top-left, bottom-right,
     bottom-left), some possibly empty with count 0, and their root
-    counts.  The counts sum to the region's own root count.  Raises
-    SubdivisionFailedError when no trial line clears the roots.
+    counts.  The counts sum to the region's own root count.  Every
+    boundary test is appended to ``stats.ipsr_calls`` and every accepted
+    cut offset to ``stats.offsets``.  Raises SubdivisionFailedError when
+    no trial line clears the roots.
     """
-    parts, counts, _, _ = _divide(region, f, cfg, ctr)
-    return parts, counts
+    top, bottom, _, _ = _try_cut(region, "horizontal", f, cfg, ctr, stats)
+    left_t, right_t, cl_t, cr_t = _try_cut(top, "vertical", f, cfg, ctr, stats)
+    left_b, right_b, cl_b, cr_b = _try_cut(bottom, "vertical", f, cfg, ctr, stats)
+    return (right_t, left_t, right_b, left_b), (cr_t, cl_t, cr_b, cl_b)
 
 
 def rdp(
@@ -250,18 +227,17 @@ def rdp(
     accuracy: float,
     *,
     q: float | None = None,
-    threads: int = 1,
 ) -> tuple[list[RootBox], RdpStats]:
     """Isolate every root of ``f`` inside ``region`` in boxes smaller than ``accuracy``.
 
     Runs the boundary winding test on the whole region first (raising
     InitialRegionSingularError when a root sits too close to the border
-    to certify anything), then subdivides.  Returns the boxes sorted by
-    envelope center together with run statistics.  ``q`` overrides the
-    guard width (it must not exceed choose_q(accuracy, degree, degree));
-    by default the width is chosen from the degree, then relaxed once
-    the actual root count inside is known.  ``threads`` caps concurrent
-    subdivision tasks; results are identical for any thread count.
+    to certify anything), then subdivides level by level.  Returns the
+    boxes sorted by envelope center together with run statistics.
+    ``q`` overrides the guard width (it must not exceed
+    choose_q(accuracy, degree, degree)); by default the width is chosen
+    from the degree, then relaxed once the actual root count inside is
+    known.
     """
     if region.is_empty:
         raise ValueError("cannot subdivide the empty region")
@@ -270,8 +246,6 @@ def rdp(
     n = f.degree
     if n < 1:
         raise ValueError("a constant polynomial has no roots to isolate")
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
 
     ctr = EvalCounter()
     stats = RdpStats()
@@ -298,15 +272,13 @@ def rdp(
     max_level = max(math.ceil(math.log2(dr / accuracy)), 0) + 2
     cfg = RdpConfig(accuracy, run_q, n0, n, max_level)
 
-    def split(node: tuple[int, ConvexRegion, int]):
-        _, reg, _ = node
-        return _divide(reg, f, cfg, ctr)
-
     boxes: list[RootBox] = []
-    frontier: list[tuple[int, ConvexRegion, int]] = [(0, region, n0)]
+    frontier: list[tuple[ConvexRegion, int]] = [(region, n0)]
+    level = 0
     while frontier:
-        splitters: list[tuple[int, ConvexRegion, int]] = []
-        for level, reg, cnt in frontier:
+        next_frontier: list[tuple[ConvexRegion, int]] = []
+        split = 0
+        for reg, cnt in frontier:
             if cnt == 0:
                 continue
             if diam_rect(reg) < accuracy:
@@ -320,18 +292,8 @@ def rdp(
                     f"region still wider than the accuracy at level {level} "
                     f"(diam_rect {diam_rect(reg)!r} >= {accuracy!r})"
                 )
-            splitters.append((level, reg, cnt))
-        if threads > 1 and len(splitters) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(split, splitters))
-        else:
-            results = [split(node) for node in splitters]
-        next_frontier: list[tuple[int, ConvexRegion, int]] = []
-        for (level, reg, cnt), (parts, counts, calls, offsets) in zip(
-            splitters, results
-        ):
-            stats.ipsr_calls.extend(calls)
-            stats.offsets.extend(offsets)
+            parts, counts = divide(reg, f, cfg, ctr, stats)
+            split += 1
             if sum(counts) != cnt:
                 raise SubdivisionFailedError(
                     f"cut parts account for {sum(counts)} roots "
@@ -341,15 +303,13 @@ def rdp(
                 if part.is_empty:
                     continue
                 stats.visited.append((level + 1, part))
-                stats.max_level = max(stats.max_level, level + 1)
-                next_frontier.append((level + 1, part, c))
+                stats.max_level = level + 1
+                next_frontier.append((part, c))
         _log.debug(
-            "level %d: %d regions split, %d boxes so far",
-            splitters[0][0] if splitters else -1,
-            len(splitters),
-            len(boxes),
+            "level %d: %d regions split, %d boxes so far", level, split, len(boxes)
         )
         frontier = next_frontier
+        level += 1
 
     def _center(box: RootBox) -> tuple[float, float]:
         x0, y0, x1, y1 = envelope(box.region)

@@ -193,17 +193,17 @@ def _bisect_pair(S: SampleArray, i: int) -> tuple[float, complex]:
     return mid, S.insert(i, mid)
 
 
-def ip(delta, L: float, s0: SampleArray, max_iter: int) -> SampleArray:
+def ip(delta, L: float, s0: list[float], max_iter: int) -> SampleArray:
     """Refine until every pair fails both p and q; unguarded against singularity.
 
-    ``delta`` is a closed curve (callable on the parameters of ``s0``)
-    with Lipschitz constant at most ``L``.  The returned array's sector
-    sequence yields the winding number via ``net_crossings``.  On curves
+    ``delta`` is a closed curve (callable on the initial parameters
+    ``s0``) with Lipschitz constant at most ``L``.  The returned array's
+    sector sequence yields the winding number via ``net_crossings``.  On curves
     passing near the origin the fixpoint may not exist; after
     ``max_iter`` insertions NonTerminationError is raised.  An exactly
     zero image raises SingularPointError carrying the parameter.
     """
-    S = SampleArray(list(s0.params), _curve_sampler(delta))
+    S = SampleArray(s0, _curve_sampler(delta))
     for j, w in enumerate(S.images):
         if w == 0:
             raise SingularPointError(S.params[j])
@@ -254,7 +254,7 @@ def _refine(S: SampleArray, failing, Q: float, singular_guarantee: float):
     return None
 
 
-def ips(delta, L: float, s0: SampleArray, Q: float) -> WindingOutcome:
+def ips(delta, L: float, s0: list[float], Q: float) -> WindingOutcome:
     """Winding number with singularity control.
 
     Refines like ``ip`` but exits with SingularError as soon as a pair
@@ -264,7 +264,7 @@ def ips(delta, L: float, s0: SampleArray, Q: float) -> WindingOutcome:
     """
     if Q <= 0:
         raise ValueError("Q must be positive")
-    S = SampleArray(list(s0.params), _curve_sampler(delta))
+    S = SampleArray(s0, _curve_sampler(delta))
     guarantee = L * Q / SIN_PI_8
     for j, w in enumerate(S.images):
         if w == 0:
@@ -278,7 +278,7 @@ def ips(delta, L: float, s0: SampleArray, Q: float) -> WindingOutcome:
 def ipsr(
     curve: BoundaryCurve,
     f: Polynomial,
-    s0: SampleArray,
+    s0: list[float],
     Q: float,
     ctr: EvalCounter,
 ) -> WindingOutcome:
@@ -311,7 +311,7 @@ def ipsr(
             dmods[t] = m
         return m
 
-    S = SampleArray(list(s0.params), sample)
+    S = SampleArray(s0, sample)
     guarantee = math.sqrt(2.0) / (4.0 * Q)
     for j, w in enumerate(S.images):
         if w == 0:
@@ -322,14 +322,13 @@ def ipsr(
     return Normal(S, net_crossings(S.sectors()), S.insertions)
 
 
-def initial_samples(curve: BoundaryCurve) -> SampleArray:
+def initial_samples(curve: BoundaryCurve) -> list[float]:
     """Vertex parameters of the boundary, padded so no gap exceeds per/8.
 
     Every polygon vertex appears as a parameter (so edges are sampled at
     least at their endpoints), long edges are subdivided uniformly, and
-    both endpoints 0 and per are present with identical points.  Points
-    and images coincide (identity images): refinement procedures resample
-    the parameters through their own image maps.
+    both endpoints 0 and per are present.  Only parameters are returned:
+    each refinement procedure samples them through its own image map.
     """
     per = curve.perimeter
     target = per / 8.0
@@ -342,4 +341,4 @@ def initial_samples(curve: BoundaryCurve) -> SampleArray:
             for k in range(1, pieces):
                 params.append(prev + gap * (k / pieces))
         params.append(t)
-    return SampleArray(params, lambda t: (curve(t), curve(t)))
+    return params

@@ -3,13 +3,17 @@
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from windroot import Polynomial, choose_q
+import windroot
+from windroot import NoConvergenceError, Polynomial, choose_q
 from windroot.cli import _ParseError, main, parse_poly_shorthand
 
 
@@ -99,10 +103,33 @@ class TestRuns:
         assert code == 0
         assert "verify: ok" in err
 
-    def test_threads_flag_keeps_output_identical(self):
-        _, first, _ = run_cli(CUBE_ARGS)
-        _, second, _ = run_cli(CUBE_ARGS + ["--threads", "4"])
-        assert first == second
+    def test_verify_reports_a_failed_reference(self, monkeypatch):
+        def fail(f):
+            raise NoConvergenceError("no convergence")
+
+        monkeypatch.setattr("windroot.oracle.roots_reference", fail)
+        code, _, err = run_cli(CUBE_ARGS + ["--verify"])
+        assert code == 1
+        assert "verify: no reference roots: no convergence" in err
+
+    def test_small_accuracy_run(self):
+        args = CUBE_ARGS[:-1] + ["1e-8"]
+        code, out, _ = run_cli(args)
+        assert code == 0
+        boxes = json.loads(out)["boxes"]
+        assert [b["count"] for b in boxes] == [1, 1, 1]
+        for box in boxes:
+            x0, y0, x1, y1 = box["envelope"]
+            assert math.hypot(x1 - x0, y1 - y0) < 1e-8
+
+    def test_import_leaves_numpy_out(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(windroot.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = "import sys, windroot.cli; sys.exit('numpy' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}
+        )
+        assert done.returncode == 0
 
 
 class TestInputForms:
@@ -186,10 +213,11 @@ class TestBadInvocations:
         assert code == 1 and "accuracy" in err
 
     def test_zero_threads(self):
-        code, _, _ = run_cli(
+        # The solver runs on one thread; there is no --threads option.
+        code, _, err = run_cli(
             ["--poly", "z", "--rect", "0", "0", "1", "1", "--accuracy", "1", "--threads", "0"]
         )
-        assert code == 1
+        assert code == 1 and "unrecognized arguments: --threads" in err
 
     def test_missing_region_file(self):
         code, _, err = run_cli(

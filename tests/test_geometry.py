@@ -47,6 +47,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ConvexRegion((0j, 1j, 1 + 1j, 1 + 0j))
 
+    @pytest.mark.parametrize("corner, side", [(0.5 + 0.5j, 1e-9), (1000 + 1000j, 1e-7)])
+    def test_orientation_of_tiny_or_far_square(self, corner, side):
+        ccw = tuple(corner + side * d for d in (0, 1, 1 + 1j, 1j))
+        assert ConvexRegion(ccw).vertices == ccw
+        with pytest.raises(ValueError):
+            ConvexRegion(ccw[::-1])
+
     def test_nonconvex_rejected(self):
         with pytest.raises(ValueError):
             ConvexRegion((0j, 2 + 0j, 2 + 2j, 1 + 0.5j, 0 + 2j))

@@ -80,6 +80,22 @@ class TestRootsReference:
             for a, b in zip(prod, f.coeffs):
                 assert abs(a - b) <= 1e-8 * scale
 
+    @pytest.mark.parametrize("n", [40, 60])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_high_degree_roots_are_finite_and_found(self, n, seed):
+        # Coefficients reach 1e14 here: z**n overflows at the Cauchy
+        # radius 1 + max|a_k/a_n|.
+        roots = random_roots(random.Random(seed), n, min_sep=0.05)
+        f = poly_from_roots(roots)
+        got = list(roots_reference(f))
+        assert len(got) == n
+        for r in got:
+            assert cmath.isfinite(r)
+            floor = sum(abs(c) * abs(r) ** k for k, c in enumerate(f.coeffs))
+            assert abs(peval(f, r)) <= 1e-12 * floor
+        for z in roots:
+            assert min(abs(z - r) for r in got) < 0.025
+
 
 class TestWindingBrute:
     def test_three_roots_enclosed(self):

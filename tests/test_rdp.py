@@ -106,24 +106,20 @@ class TestDivide:
     def test_root_on_midline_shifts_horizontal_cut_only(self):
         f = Polynomial((-1, 0, 0, 1))  # roots at 1 and on the unit circle
         cfg = RdpConfig(1e-3, choose_q(1e-3, 3, 3), 3, 3, 13)
-        parts, counts = divide(rect(-1.9, -2, 2.1, 2), f, cfg, EvalCounter())
+        stats = RdpStats()
+        _, counts = divide(rect(-1.9, -2, 2.1, 2), f, cfg, EvalCounter(), stats)
         assert counts == (0, 1, 1, 1)
-        stats_parts, stats_counts, _, offsets = __import__(
-            "windroot.rdp", fromlist=["_divide"]
-        )._divide(rect(-1.9, -2, 2.1, 2), f, cfg, EvalCounter())
         step = 2.0 * cfg.n / SIN_PI_8 * cfg.q
-        assert offsets == [step, 0.0, 0.0]
-        assert stats_counts == counts
+        assert stats.offsets == [step, 0.0, 0.0]
 
     def test_two_roots_on_midline(self):
         f = Polynomial((0, -1, 1))  # z^2 - z, roots 0 and 1
         cfg = RdpConfig(1e-3, choose_q(1e-3, 2, 2), 2, 2, 13)
-        _, counts, _, offsets = __import__(
-            "windroot.rdp", fromlist=["_divide"]
-        )._divide(rect(-1, -1, 2, 1), f, cfg, EvalCounter())
+        stats = RdpStats()
+        _, counts = divide(rect(-1, -1, 2, 1), f, cfg, EvalCounter(), stats)
         step = 2.0 * cfg.n / SIN_PI_8 * cfg.q
-        assert offsets[0] == step
-        assert offsets[1:] == [0.0, 0.0]
+        assert stats.offsets[0] == step
+        assert stats.offsets[1:] == [0.0, 0.0]
         assert counts == (0, 0, 1, 1)
 
     def test_counts_conserve_the_total(self):
@@ -137,7 +133,7 @@ class TestDivide:
             x1 = max(r.real for r in roots) + 0.4
             y1 = max(r.imag for r in roots) + 0.4
             cfg = RdpConfig(1e-2, choose_q(1e-2, n, n), n, n, 20)
-            parts, counts = divide(rect(x0, y0, x1, y1), f, cfg, EvalCounter())
+            parts, counts = divide(rect(x0, y0, x1, y1), f, cfg, EvalCounter(), RdpStats())
             assert sum(counts) == n
             for part, c in zip(parts, counts):
                 if part.is_empty:
@@ -147,7 +143,7 @@ class TestDivide:
         f = CUBE
         cfg = RdpConfig(1e-3, choose_q(1e-3, 3, 3), 3, 3, 13)
         region = rect(-2, -2, 2, 2)
-        parts, _ = divide(region, f, cfg, EvalCounter())
+        parts, _ = divide(region, f, cfg, EvalCounter(), RdpStats())
         area = sum(
             0.0
             if p.is_empty
@@ -239,13 +235,6 @@ class TestRdp:
         assert [x.region.vertices for x in a[0]] == [x.region.vertices for x in b[0]]
         assert a[1].pe == b[1].pe
 
-    def test_threads_do_not_change_the_result(self):
-        a = rdp(rect(-2, -2, 2, 2), CUBE, 1e-3, threads=1)
-        b = rdp(rect(-2, -2, 2, 2), CUBE, 1e-3, threads=4)
-        assert [x.region.vertices for x in a[0]] == [x.region.vertices for x in b[0]]
-        assert [x.count for x in a[0]] == [x.count for x in b[0]]
-        assert a[1].pe == b[1].pe
-
     def test_boxes_sorted_by_envelope_center(self):
         boxes, _ = rdp(rect(-2, -2, 2, 2), CUBE, 1e-3)
         centers = []
@@ -268,8 +257,6 @@ class TestRdp:
             rdp(rect(0, 0, 1, 1), CUBE, 0.0)
         with pytest.raises(ValueError):
             rdp(rect(0, 0, 1, 1), Polynomial((5,)), 1e-3)
-        with pytest.raises(ValueError):
-            rdp(rect(0, 0, 1, 1), CUBE, 1e-3, threads=0)
 
     def test_stats_record_visited_and_offsets(self):
         _, stats = rdp(rect(-2, -2, 2, 2), CUBE, 1e-3)
