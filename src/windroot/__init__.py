@@ -9,6 +9,7 @@ contains, counted with multiplicity.
 """
 
 from .errors import (
+    CountMismatchError,
     InitialRegionSingularError,
     NonTerminationError,
     NoConvergenceError,
@@ -70,6 +71,7 @@ __all__ = [
     "SingularSuspectedError",
     "InitialRegionSingularError",
     "SubdivisionFailedError",
+    "CountMismatchError",
     "Polynomial",
     "EvalCounter",
     "eval",

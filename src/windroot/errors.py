@@ -48,3 +48,12 @@ class InitialRegionSingularError(WindrootError):
 
 class SubdivisionFailedError(WindrootError):
     """No trial cut line could split a region without a singular boundary."""
+
+
+class CountMismatchError(WindrootError):
+    """The counts of a region's cut parts do not add up to the region's count.
+
+    Boundary winding tests disagree with each other, so one of them
+    returned a wrong count: an internal failure, not bad input and not a
+    missing cut line.
+    """

@@ -17,12 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergenceError, SingularSuspectedError
-from .geometry import BoundaryCurve
-from .poly import Polynomial
+from .geometry import BoundaryCurve, ConvexRegion, contains
+from .poly import Polynomial, _horner
 
 __all__ = [
     "RootList",
     "roots_reference",
+    "count_bounds",
     "winding_brute",
     "condition_number",
     "dist_set_curve",
@@ -37,9 +38,15 @@ _MAX_WINDING_SAMPLES = 2**20
 
 @dataclass(frozen=True)
 class RootList:
-    """All roots of a polynomial, multiplicity expressed by repetition."""
+    """All roots of a polynomial, multiplicity expressed by repetition.
+
+    ``radii`` (empty when unknown) pairs each root with the radius of a
+    disk about it; the disks together hold every true root, as
+    ``count_bounds`` assumes.
+    """
 
     roots: tuple[complex, ...]
+    radii: tuple[float, ...] = ()
 
     def __len__(self) -> int:
         return len(self.roots)
@@ -48,16 +55,11 @@ class RootList:
         return iter(self.roots)
 
 
-def _horner(coeffs, z: complex) -> complex:
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
+def _group(n: int, near) -> list[list[int]]:
+    """Partition indices 0..n-1 into the transitive closure of ``near(i, j)``.
 
-
-def _group(zs: list[complex], radius: float) -> list[list[complex]]:
-    """Partition points into transitive groups at pairwise distance <= radius."""
-    n = len(zs)
+    Each group lists its indices in increasing order.
+    """
     parent = list(range(n))
 
     def find(a: int) -> int:
@@ -68,18 +70,18 @@ def _group(zs: list[complex], radius: float) -> list[list[complex]]:
 
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(zs[i] - zs[j]) <= radius:
+            if near(i, j):
                 parent[find(i)] = find(j)
-    groups: dict[int, list[complex]] = {}
+    groups: dict[int, list[int]] = {}
     for i in range(n):
-        groups.setdefault(find(i), []).append(zs[i])
+        groups.setdefault(find(i), []).append(i)
     return list(groups.values())
 
 
 _POLISH_RADIUS = 1e-6
 
 
-def _polish_clusters(coeffs, zs: list[complex]) -> list[complex]:
+def _polish_clusters(coeffs, zs: list[complex]) -> list[tuple[complex, int]]:
     """Snap groups of near-coincident approximations onto their common root.
 
     Simultaneous iteration leaves an m-fold root as m points spread at
@@ -87,12 +89,14 @@ def _polish_clusters(coeffs, zs: list[complex]) -> list[complex]:
     radius.  Such a root is a simple root of the (m-1)-th derivative,
     where Newton reaches rounding level; the polished point replaces
     the group only when it does not worsen the residual on f itself.
+    Returns (point, index into ``zs``) pairs, group by group.
     """
-    out: list[complex] = []
-    for members in _group(zs, _POLISH_RADIUS):
+    out: list[tuple[complex, int]] = []
+    for idx in _group(len(zs), lambda i, j: abs(zs[i] - zs[j]) <= _POLISH_RADIUS):
+        members = [zs[i] for i in idx]
         m = len(members)
         if m < 2:
-            out.extend(members)
+            out.extend(zip(members, idx))
             continue
         g = coeffs
         for _ in range(m - 1):
@@ -116,10 +120,36 @@ def _polish_clusters(coeffs, zs: list[complex]) -> list[complex]:
             and abs(z - centroid) <= _POLISH_RADIUS
             and abs(_horner(coeffs, z)) <= worst
         ):
-            out.extend([z] * m)
+            out.extend((z, i) for i in idx)
         else:
-            out.extend(members)
+            out.extend(zip(members, idx))
     return out
+
+
+def _inclusion_radii(coeffs, zs: list[complex]) -> list[float]:
+    """Radii n*|W_j| of disks about the approximations that hold every root.
+
+    W_j = f(z_j) / (a_n * prod_{k != j} (z_j - z_k)) is the Weierstrass
+    correction.  The disks |z - z_j| <= n*|W_j| together hold all n
+    roots, and a connected union of m of them that meets no other disk
+    holds exactly m (Braess and Hadeler).  |f(z_j)| is raised by the
+    Horner rounding floor at which the iteration freezes, so that the
+    radius also covers the rounding of the computed residual; a
+    coincident pair of approximations gets an infinite radius.
+    """
+    n = len(zs)
+    lead = coeffs[-1]
+    abs_coeffs = tuple(abs(c) for c in coeffs)
+    radii: list[float] = []
+    for j, z in enumerate(zs):
+        denom = lead
+        for k, zk in enumerate(zs):
+            if k != j:
+                denom *= z - zk
+        noise = abs(_horner(abs_coeffs, abs(z)))
+        residual = abs(_horner(coeffs, z)) + 4.0 * n * math.ulp(noise)
+        radii.append(n * residual / abs(denom) if denom != 0 else math.inf)
+    return radii
 
 
 def roots_reference(f: Polynomial) -> RootList:
@@ -193,12 +223,52 @@ def roots_reference(f: Polynomial) -> RootList:
         raise NoConvergenceError("root iteration produced a non-finite value")
 
     # Merge clusters (multiple roots) into centroids with multiplicity.
-    merged: list[complex] = []
-    for members in _group(_polish_clusters(coeffs, zs), _CLUSTER_RADIUS):
-        centroid = sum(members) / len(members)
-        merged.extend([centroid] * len(members))
-    merged.sort(key=lambda z: (z.real, z.imag))
-    return RootList(tuple(merged))
+    # A centroid's radius covers the inclusion disks of its members.
+    radii = _inclusion_radii(coeffs, zs)
+    polished = _polish_clusters(coeffs, zs)
+    points = [z for z, _ in polished]
+    merged: list[tuple[complex, float]] = []
+    near = lambda i, j: abs(points[i] - points[j]) <= _CLUSTER_RADIUS
+    for idx in _group(len(points), near):
+        centroid = sum(points[i] for i in idx) / len(idx)
+        raw = [polished[i][1] for i in idx]
+        radius = max(abs(centroid - zs[j]) + radii[j] for j in raw)
+        merged.extend([(centroid, radius)] * len(idx))
+    merged.sort(key=lambda zr: (zr[0].real, zr[0].imag))
+    return RootList(tuple(z for z, _ in merged), tuple(r for _, r in merged))
+
+
+def _depth(region: ConvexRegion, z: complex) -> float:
+    """Signed distance from z to the border: positive inside, negative outside."""
+    d = _dist_point_polygon(z, region.vertices)
+    return d if contains(region, z) else -d
+
+
+def count_bounds(roots: RootList, regions) -> list[tuple[int, int]]:
+    """Bounds (lo, hi) on the number of true roots inside each region.
+
+    The inclusion disks of ``roots`` are joined into connected
+    components; a component of m disks holds exactly m roots.  ``lo``
+    counts the roots of components whose disks all lie inside the
+    region, ``hi`` those of components with a disk that meets it.  With
+    no radii known every disk is a point.
+    """
+    zs = roots.roots
+    radii = roots.radii or (0.0,) * len(zs)
+    components = _group(
+        len(zs), lambda i, j: abs(zs[i] - zs[j]) <= radii[i] + radii[j]
+    )
+    bounds = []
+    for region in regions:
+        lo = hi = 0
+        for idx in components:
+            disks = [(_depth(region, zs[i]), radii[i]) for i in idx]
+            if all(d > r for d, r in disks):
+                lo += len(idx)
+            if any(d >= -r for d, r in disks):
+                hi += len(idx)
+        bounds.append((lo, hi))
+    return bounds
 
 
 def winding_brute(delta, samples: int = 4096, per: float | None = None) -> int:

@@ -16,7 +16,11 @@ import logging
 import math
 from dataclasses import dataclass, field
 
-from .errors import InitialRegionSingularError, SubdivisionFailedError
+from .errors import (
+    CountMismatchError,
+    InitialRegionSingularError,
+    SubdivisionFailedError,
+)
 from .geometry import (
     SIN_PI_8,
     ConvexRegion,
@@ -234,6 +238,11 @@ def rdp(
     InitialRegionSingularError when a root sits too close to the border
     to certify anything), then subdivides level by level.  Returns the
     boxes sorted by envelope center together with run statistics.
+    Raises SubdivisionFailedError when no trial line cuts a region or the
+    depth limit is reached, and the internal failures CountMismatchError
+    when a region's parts do not account for its roots and
+    NonTerminationError when a boundary test's parameter gap falls below
+    float resolution.
     ``q`` overrides the guard width (it must not exceed
     choose_q(accuracy, degree, degree)); by default the width is chosen
     from the degree, then relaxed once the actual root count inside is
@@ -295,9 +304,10 @@ def rdp(
             parts, counts = divide(reg, f, cfg, ctr, stats)
             split += 1
             if sum(counts) != cnt:
-                raise SubdivisionFailedError(
+                raise CountMismatchError(
                     f"cut parts account for {sum(counts)} roots "
-                    f"but the region holds {cnt}"
+                    f"but the region holds {cnt} "
+                    f"(level {level}, region envelope {envelope(reg)})"
                 )
             for part, c in zip(parts, counts):
                 if part.is_empty:

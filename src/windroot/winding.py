@@ -13,6 +13,17 @@ Three refinement procedures operate on a sample array of a closed curve:
   of a global curve bound, every polynomial evaluation is metered, and
   an error exit certifies a large condition number (a root close to the
   boundary).
+
+``ips`` runs the paper's scan ``_refine`` over a ``SampleArray``.
+``ipsr`` runs the same refinement as one loop, depth first per initial
+pair: whether a pair is split depends only on its two endpoints, and
+after a split the scan rechecks the unchanged left neighbour and then
+takes the split pair's left half, so it visits pairs in exactly the
+depth-first order.  Insertions, error exits, evaluated points and the
+count are therefore the same as the scan's, without a list insertion
+or a predicate call per pair; the tests keep the scan as the reference.
+|f'| is evaluated at most once per left sample per ``ipsr`` call and is
+not metered.
 """
 
 from __future__ import annotations
@@ -154,17 +165,13 @@ def pred_q(S: SampleArray, i: int, L: float) -> bool:
     return S.gap(i) >= (abs(S.images[i]) + abs(S.images[i + 1])) / L
 
 
-def pred_q2(
-    S: SampleArray, i: int, f: Polynomial, dmod: float | None = None
-) -> bool:
+def pred_q2(S: SampleArray, i: int, f: Polynomial) -> bool:
     """Derivative-scaled width test for polynomial images.
 
     True iff |w_i| + |w_{i+1}| <= 2*|f'(p_i)|*gap + |w_{i+1} - w_i|,
-    using one derivative evaluation at the left point (pass ``dmod`` =
-    |f'(p_i)| to reuse a precomputed value).
+    using one derivative evaluation at the left point.
     """
-    if dmod is None:
-        dmod = abs(eval(derivative(f), S.points[i]))
+    dmod = abs(eval(derivative(f), S.points[i]))
     wa, wb = S.images[i], S.images[i + 1]
     return abs(wa) + abs(wb) <= 2.0 * dmod * S.gap(i) + abs(wb - wa)
 
@@ -224,7 +231,10 @@ def ip(delta, L: float, s0: list[float], max_iter: int) -> SampleArray:
 
 
 def _refine(S: SampleArray, failing, Q: float, singular_guarantee: float):
-    """Shared IPS/IPSR loop: refine until clean, or exit on the gap guard.
+    """The paper's refinement scan: refine until clean, or exit on the gap guard.
+
+    ``ips`` runs it; with pred_p/pred_q2 it is the reference that
+    ``ipsr``'s depth-first loop reproduces.
 
     ``failing(i)`` decides whether pair i still needs splitting.  Scans
     pairs left to right; after an insertion the scan resumes at the
@@ -291,35 +301,87 @@ def ipsr(
     of roots of f strictly inside the curve, with multiplicity.  On
     SingularError the condition number of the boundary (sum of inverse
     root distances) is at least sqrt(2)/(4Q) — some root lies near the
-    boundary.  All evaluations of f go through ``ctr``; derivative
-    evaluations are cached per parameter and not metered.
+    boundary.
+
+    Each initial pair is refined to completion, left half before right
+    half, before the next one starts: the order in which the ``_refine``
+    scan with ``pred_p``/``pred_q2`` visits pairs (see the module
+    docstring), so every insertion, error exit and evaluated point is
+    the scan's.  The loop keeps one left sample and a stack of right
+    endpoints, classifies each sample's sector once, adds each clean
+    pair's 7->0 / 0->7 crossing to the index as it goes, and on Normal
+    returns the final samples as the array without resampling.  All
+    evaluations of f go through ``ctr``; |f'| is evaluated at most once
+    per left sample per call and is not metered.
     """
     if Q <= 0:
         raise ValueError("Q must be positive")
     df = derivative(f)
-    dmods: dict[float, float] = {}
 
     def sample(t: float) -> tuple[complex, complex]:
         p = curve(t)
         return p, eval(f, p, ctr)
-
-    def dmod(i: int) -> float:
-        t = S.params[i]
-        m = dmods.get(t)
-        if m is None:
-            m = abs(eval(df, S.points[i]))
-            dmods[t] = m
-        return m
 
     S = SampleArray(s0, sample)
     guarantee = math.sqrt(2.0) / (4.0 * Q)
     for j, w in enumerate(S.images):
         if w == 0:
             return SingularError(S.params[j], guarantee, S.insertions)
-    err = _refine(S, lambda i: pred_p(S, i) or pred_q2(S, i, f, dmod(i)), Q, guarantee)
-    if err is not None:
-        return err
-    return Normal(S, net_crossings(S.sectors()), S.insertions)
+
+    # The name lookups stay global, once per call, so that wrappers
+    # installed on this module's ``eval`` and ``sector_of`` see every call.
+    feval, sector = eval, sector_of
+    ts, ps, ws = S.params, S.points, S.images
+    # The left sample (t, point, image, sector, |image|) and |f'(point)|,
+    # evaluated the first time the width test needs it.
+    ta, pa, wa = ts[0], ps[0], ws[0]
+    ka, ma, da = sector(wa), abs(wa), None
+    params, points, images, sectors = [ta], [pa], [wa], [ka]  # the final samples
+    index = insertions = 0
+    for j in range(1, len(ts)):
+        tb, pb, wb = ts[j], ps[j], ws[j]
+        kb, mb = sector(wb), abs(wb)
+        stack = []  # right endpoints still to visit, nearest on top
+        while True:
+            if (ka - kb) % 8 in (0, 1, 7):
+                if da is None:
+                    da = abs(feval(df, pa))
+                failing = ma + mb <= 2.0 * da * (tb - ta) + abs(wb - wa)
+            else:
+                failing = True
+            if not failing:
+                if ka == 7 and kb == 0:
+                    index += 1
+                elif ka == 0 and kb == 7:
+                    index -= 1
+                params.append(tb)
+                points.append(pb)
+                images.append(wb)
+                sectors.append(kb)
+                ta, pa, wa, ka, ma, da = tb, pb, wb, kb, mb, None
+                if not stack:
+                    break
+                tb, pb, wb, kb, mb = stack.pop()
+                continue
+            mid = 0.5 * (ta + tb)
+            if not ta < mid < tb:
+                raise NonTerminationError(
+                    f"parameter gap [{ta!r}, {tb!r}] is below float resolution"
+                )
+            pm = curve(mid)
+            wm = feval(f, pm, ctr)
+            insertions += 1
+            if wm == 0:
+                return SingularError(mid, guarantee, insertions)
+            if mid - ta <= Q:
+                # The guard fired; as in ``_refine``, report the pre-split
+                # endpoint with the smaller modulus (ties go left).
+                return SingularError(ta if ma <= mb else tb, guarantee, insertions)
+            stack.append((tb, pb, wb, kb, mb))
+            tb, pb, wb, kb, mb = mid, pm, wm, sector(wm), abs(wm)
+    S.params, S.points, S.images, S._sectors = params, points, images, sectors
+    S.insertions = insertions
+    return Normal(S, index, insertions)
 
 
 def initial_samples(curve: BoundaryCurve) -> list[float]:

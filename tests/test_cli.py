@@ -1,5 +1,6 @@
 """Command-line interface: parsing, JSON output, SVG, exit codes."""
 
+import importlib
 import io
 import json
 import math
@@ -13,8 +14,10 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 import windroot
-from windroot import NoConvergenceError, Polynomial, choose_q
-from windroot.cli import _ParseError, main, parse_poly_shorthand
+from windroot import ConvexRegion, NoConvergenceError, Polynomial, RootBox, choose_q
+from windroot.cli import _ParseError, _verify_boxes, main, parse_poly_shorthand
+
+from support import poly_from_roots
 
 
 def run_cli(argv):
@@ -122,14 +125,93 @@ class TestRuns:
             x0, y0, x1, y1 = box["envelope"]
             assert math.hypot(x1 - x0, y1 - y0) < 1e-8
 
-    def test_import_leaves_numpy_out(self):
+    def fresh_python(self, code: str) -> int:
         src = os.path.dirname(os.path.dirname(os.path.abspath(windroot.__file__)))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        code = "import sys, windroot.cli; sys.exit('numpy' in sys.modules)"
         done = subprocess.run(
             [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}
         )
-        assert done.returncode == 0
+        return done.returncode
+
+    def test_import_leaves_numpy_out(self):
+        code = "import sys, windroot.cli; sys.exit('numpy' in sys.modules)"
+        assert self.fresh_python(code) == 0
+
+    def test_solve_leaves_numpy_out(self):
+        code = (
+            "import io, sys, contextlib, windroot.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    rc = windroot.cli.main({CUBE_ARGS!r})\n"
+            "sys.exit(10 + rc if rc else 'numpy' in sys.modules)"
+        )
+        assert self.fresh_python(code) == 0
+
+    def test_count_mismatch_exits_four_naming_level_and_envelope(self, monkeypatch):
+        # A real case is z^46-1 on [-2.1, 2.07] x [-2.13, 2.11] at 1e-3,
+        # where a boundary test miscounts a cut part (a solver defect
+        # that a fix would remove); here the first division miscounts.
+        # The package attribute ``windroot.rdp`` is the solver function.
+        rdp_module = importlib.import_module("windroot.rdp")
+        divide = rdp_module.divide
+
+        def miscount(*args):
+            parts, counts = divide(*args)
+            return parts, (counts[0] + 1,) + counts[1:]
+
+        monkeypatch.setattr(rdp_module, "divide", miscount)
+        code, out, err = run_cli(CUBE_ARGS)
+        assert code == 4
+        assert out == ""
+        assert err == (
+            "windroot: internal solver failure: cut parts account for 4 roots "
+            "but the region holds 3 (level 0, region envelope (-2.0, -2.0, 2.0, 2.0))\n"
+        )
+
+    def test_gap_below_float_resolution_exits_four(self):
+        # The guard width (about 1.9e-17) lies below the float spacing of
+        # the boundary parameter near 10.7.
+        code, out, err = run_cli(
+            ["--poly", "z^60-1", "--rect", "1", "-2.1", "3", "2.3", "--accuracy", "1e-12"]
+        )
+        assert code == 4
+        assert out == ""
+        assert err == (
+            "windroot: internal solver failure: parameter gap "
+            "[10.699999999999998, 10.7] is below float resolution\n"
+        )
+
+    def test_verify_accepts_clustered_roots_and_flags_a_tampered_count(self):
+        # Two clusters of three roots 1e-4 apart, boxes of 1e-5: double
+        # precision cannot place the reference roots inside the right
+        # boxes, only within their inclusion disks.
+        angles = [0.2 * math.pi + 2 * math.pi * k / 3 for k in range(3)]
+        roots = [
+            center + 1e-4 * complex(math.cos(a), math.sin(a))
+            for center in (1.5 + 1.5j, -1.4 + 1.2j)
+            for a in angles
+        ]
+        f = poly_from_roots(roots)
+        poly = json.dumps({"coeffs": [[c.real, c.imag] for c in f.coeffs]})
+        args = ["--poly", poly, "--rect", "-2", "-2", "2", "2", "--accuracy", "1e-5"]
+        code, out, err = run_cli(args + ["--verify"])
+        assert code == 0, err
+        assert "verify: ok — 6 boxes account for all 6 roots" in err
+
+        region = ConvexRegion.from_json({"rect": [-2, -2, 2, 2]})
+        boxes = [
+            RootBox(ConvexRegion(tuple(complex(x, y) for x, y in b["vertices"])), b["count"])
+            for b in json.loads(out)["boxes"]
+        ]
+        assert [b.count for b in boxes] == [1] * 6
+        err = io.StringIO()
+        with redirect_stderr(err):
+            assert _verify_boxes(f, region, boxes)
+            boxes[0] = RootBox(boxes[0].region, 2)
+            assert not _verify_boxes(f, region, boxes)
+        assert err.getvalue().splitlines()[1:] == [
+            "verify: box 0 claims 2 roots but holds 0..1",
+            "verify: boxes claim 7 roots but the region holds 6",
+        ]
 
 
 class TestInputForms:

@@ -12,6 +12,7 @@ from windroot.oracle import (
     RootList,
     SingularSuspectedError,
     condition_number,
+    count_bounds,
     dist_origin_curve,
     dist_set_curve,
     min_image_modulus,
@@ -95,6 +96,29 @@ class TestRootsReference:
             assert abs(peval(f, r)) <= 1e-12 * floor
         for z in roots:
             assert min(abs(z - r) for r in got) < 0.025
+
+
+class TestCountBounds:
+    def test_disks_inside_straddling_and_outside(self):
+        square = rect(0, 0, 1, 1)
+        # A disk well inside, two overlapping disks across the right edge
+        # (one component of two), and a disk outside that touches no edge.
+        roots = RootList(
+            (0.5 + 0.5j, 0.99 + 0.5j, 1.01 + 0.5j, 3 + 3j), (0.1, 0.02, 0.02, 0.5)
+        )
+        assert count_bounds(roots, [square]) == [(1, 3)]
+        assert count_bounds(roots, [rect(0, 0, 0.9, 1)]) == [(1, 1)]
+        assert count_bounds(roots, [rect(2, 2, 4, 4)]) == [(1, 1)]
+
+    def test_without_radii_points_count_where_they_lie(self):
+        roots = RootList((0.5 + 0.5j, 0.5 + 0.5j, 2 + 0j))
+        assert count_bounds(roots, [rect(0, 0, 1, 1), rect(1, -1, 2, 1)]) == [(2, 2), (0, 1)]
+
+    def test_reference_radii_are_small_for_separated_roots(self):
+        f = poly_from_roots([1 + 1j, -1 + 0.5j, 0.2 - 1j])
+        got = roots_reference(f)
+        assert len(got.radii) == 3
+        assert all(0 < r < 1e-12 for r in got.radii)
 
 
 class TestWindingBrute:

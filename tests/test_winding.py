@@ -27,10 +27,17 @@ from windroot import (
 )
 from windroot.geometry import SIN_PI_8
 from windroot.poly import EvalCounter, eval as peval
-from windroot.winding import SampleArray
+from windroot.winding import SampleArray, _refine
 from windroot.oracle import RootList, condition_number, dist_set_curve, winding_brute
 
-from support import poly_from_roots, random_lead, random_roots, random_rect_clear_of, rect
+from support import (
+    poly_from_roots,
+    random_convex_polygon,
+    random_lead,
+    random_roots,
+    random_rect_clear_of,
+    rect,
+)
 
 
 def image_array(images: dict[float, complex]) -> SampleArray:
@@ -302,6 +309,94 @@ class TestIpsr:
                 assert kappa >= math.sqrt(2) / (4 * Q) * (1 - 1e-9)
                 assert dist_set_curve(RootList(tuple(roots)), curve) <= 4 * n * Q / math.sqrt(2) * (1 + 1e-9)
         assert errors >= 1
+
+
+def ipsr_scan(curve, f, s0, Q, ctr):
+    """The left-to-right scan ``ipsr`` must reproduce: ``_refine`` with pred_p, pred_q2."""
+
+    def sample(t):
+        p = curve(t)
+        return p, peval(f, p, ctr)
+
+    S = SampleArray(s0, sample)
+    guarantee = math.sqrt(2.0) / (4.0 * Q)
+    for j, w in enumerate(S.images):
+        if w == 0:
+            return SingularError(S.params[j], guarantee, S.insertions)
+    err = _refine(S, lambda i: pred_p(S, i) or pred_q2(S, i, f), Q, guarantee)
+    if err is not None:
+        return err
+    return Normal(S, net_crossings(S.sectors()), S.insertions)
+
+
+def outcome_and_meter(procedure, curve, f, Q, s0=None):
+    ctr = EvalCounter()
+    try:
+        out = procedure(curve, f, s0 or initial_samples(curve), Q, ctr)
+    except NonTerminationError as exc:
+        out = ("NonTerminationError", str(exc))
+    return out, ctr
+
+
+class TestIpsrMatchesScan:
+    """The depth-first loop of ``ipsr`` against the reference scan."""
+
+    def assert_same(self, curve, f, Q, s0=None):
+        got, got_ctr = outcome_and_meter(ipsr, curve, f, Q, s0)
+        want, want_ctr = outcome_and_meter(ipsr_scan, curve, f, Q, s0)
+        assert type(got) is type(want)
+        if isinstance(want, Normal):
+            assert got.index == want.index
+            assert got.insertions == want.insertions
+            assert got.array.params == want.array.params
+            assert got.array.images == want.array.images
+            assert got.array.sectors() == want.array.sectors()
+        elif isinstance(want, SingularError):
+            assert got == want  # t, guarantee and insertions
+        else:
+            assert got == want  # the same NonTerminationError message
+        assert got_ctr.evaluations == want_ctr.evaluations
+        assert list(got_ctr.cache) == list(want_ctr.cache)
+        return want
+
+    def test_seeded_instances_agree(self):
+        rng = random.Random(3031)
+        kinds = {Normal: 0, SingularError: 0}
+        for k in range(320):
+            n = rng.randint(1, 12)
+            roots = random_roots(rng, n, min_sep=0.1)
+            Q = 10 ** rng.uniform(-3.5, -1.5)
+            if k % 4 == 3:
+                # A root within Q/10 of an edge (mostly error exits), or
+                # a few Q inside it (deep refinement).
+                region = random_rect_clear_of(rng, roots, margin=0.2)
+                x0, y0, x1, _ = __import__("windroot").envelope(region)
+                off = rng.uniform(-0.1, 0.1) if k % 8 == 3 else rng.uniform(2.0, 50.0)
+                roots[0] = complex(rng.uniform(x0 + 0.1, x1 - 0.1), y0 + off * Q)
+            elif k % 4 == 2:
+                region = random_convex_polygon(rng)
+            else:
+                region = random_rect_clear_of(rng, roots, margin=0.05)
+            f = poly_from_roots(roots, random_lead(rng))
+            out = self.assert_same(boundary(region), f, Q)
+            kinds[type(out)] += 1
+        assert kinds[Normal] >= 200 and kinds[SingularError] >= 30
+
+    def test_boundary_cases_agree(self):
+        # Images 5 and 5j lie two sectors apart, with equal moduli; the
+        # split gap 0.5 equals Q = 0.5, so the guard fires (inclusive)
+        # and reports the left endpoint (ties go left).
+        pts = {0.0: 5 + 0j, 0.5: 3 + 3j, 1.0: 5j}
+        out = self.assert_same(pts.__getitem__, Polynomial((0, 1)), 0.5, [0.0, 1.0])
+        assert out == SingularError(0.0, math.sqrt(2.0) / 2.0, 1)
+        # An exactly zero image at an initial sample.
+        self.assert_same(boundary(rect(0, 0, 1, 1)), Polynomial((-0.5, 1)), 1e-3)
+        # A guard width below the float spacing of the parameter.
+        f = Polynomial((-1,) + (0,) * 59 + (1,))
+        region = rect(1, -2.1, 3, 2.3)
+        out, _ = outcome_and_meter(ipsr, boundary(region), f, 1.9e-17)
+        assert out[0] == "NonTerminationError"
+        self.assert_same(boundary(region), f, 1.9e-17)
 
 
 class TestInitialSamples:
