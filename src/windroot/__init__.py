@@ -9,6 +9,7 @@ contains, counted with multiplicity.
 """
 
 from .errors import (
+    AccuracyBelowResolutionError,
     CountMismatchError,
     InitialRegionSingularError,
     NonTerminationError,
@@ -65,6 +66,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "WindrootError",
+    "AccuracyBelowResolutionError",
     "SingularPointError",
     "NonTerminationError",
     "NoConvergenceError",

@@ -3,11 +3,13 @@
 Parses a polynomial (JSON coefficients or ``z^3+1`` shorthand) and a
 convex region (rectangle or polygon), runs the subdivision solver, and
 prints the root boxes as JSON with 17-significant-digit floats.  An
-optional SVG renders the subdivision tree and the boxes.  Exit codes:
-0 success, 1 bad request (or a ``--verify`` disagreement), 2 root too
+optional SVG renders the subdivision tree and the boxes.  Exit codes: 0
+success, 1 bad request (an accuracy below the region's float resolution
+is refused before any work) or a ``--verify`` disagreement, 2 root too
 close to the initial boundary, 3 no root-free cut line, 4 internal
-solver failure (cut parts whose counts do not add up, or a boundary
-parameter gap below float resolution).
+solver failure (an initial count outside [0, degree], cut parts whose
+counts do not add up, or a boundary parameter gap below float
+resolution).
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ import re
 import sys
 import time
 from dataclasses import dataclass
-from xml.etree import ElementTree as ET
 
 from .errors import (
+    AccuracyBelowResolutionError,
     CountMismatchError,
     InitialRegionSingularError,
     NonTerminationError,
@@ -31,7 +33,7 @@ from .errors import (
 )
 from .geometry import ConvexRegion, envelope
 from .poly import Polynomial
-from .rdp import RdpStats, RootBox, choose_q, rdp
+from .rdp import RdpStats, RootBox, rdp
 
 __all__ = ["RunRequest", "run", "main"]
 
@@ -54,7 +56,6 @@ class RunRequest:
     f: Polynomial
     region: ConvexRegion
     accuracy: float
-    q: float | None
     svg: str | None
     verify: bool
     stats: bool
@@ -150,13 +151,6 @@ def _build_parser() -> _Parser:
         required=True,
         help="maximum rectangular diameter of an emitted root box",
     )
-    parser.add_argument(
-        "--q",
-        type=float,
-        default=None,
-        help="override the sampling guard width (must not exceed the "
-        "degree-derived default)",
-    )
     parser.add_argument("--svg", help="write an SVG of the subdivision to this path")
     parser.add_argument(
         "--verify",
@@ -191,22 +185,10 @@ def _build_request(ns: argparse.Namespace) -> RunRequest:
         region = ConvexRegion.from_json(region_data)
     except ValueError as exc:
         raise _ParseError(str(exc)) from exc
-    if ns.accuracy <= 0:
-        raise _ParseError("accuracy must be positive")
-    if ns.q is not None:
-        if f.degree < 1:
-            raise _ParseError("constant polynomial has no roots to isolate")
-        limit = choose_q(ns.accuracy, f.degree, f.degree)
-        if not 0 < ns.q <= limit:
-            raise _ParseError(
-                f"q must lie in (0, {limit!r}] for accuracy {ns.accuracy!r} "
-                f"and degree {f.degree}"
-            )
     return RunRequest(
         f=f,
         region=region,
         accuracy=ns.accuracy,
-        q=ns.q,
         svg=ns.svg,
         verify=ns.verify,
         stats=ns.stats,
@@ -258,6 +240,9 @@ def _svg_path(vertices, world, scale) -> str:
 def _write_svg(
     path: str, region: ConvexRegion, boxes: list[RootBox], stats: RdpStats
 ) -> None:
+    # Imported here so that only --svg pays for it.
+    from xml.etree import ElementTree as ET
+
     x0, y0, x1, y1 = envelope(region)
     margin = 0.05 * max(x1 - x0, y1 - y0)
     world = (x0 - margin, y0 - margin, x1 + margin, y1 + margin)
@@ -368,7 +353,7 @@ def run(request: RunRequest) -> int:
     """Execute one request; print JSON to stdout; return the exit code."""
     started = time.perf_counter()
     try:
-        boxes, stats = rdp(request.region, request.f, request.accuracy, q=request.q)
+        boxes, stats = rdp(request.region, request.f, request.accuracy)
     except InitialRegionSingularError as exc:
         print(f"windroot: {exc}", file=sys.stderr)
         return 2
@@ -378,7 +363,7 @@ def run(request: RunRequest) -> int:
     except (CountMismatchError, NonTerminationError) as exc:
         print(f"windroot: internal solver failure: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
+    except (AccuracyBelowResolutionError, ValueError) as exc:
         print(f"windroot: {exc}", file=sys.stderr)
         return 1
     seconds = time.perf_counter() - started

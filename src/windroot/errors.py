@@ -7,6 +7,10 @@ class WindrootError(Exception):
     """Base class for every error raised by this package."""
 
 
+class AccuracyBelowResolutionError(WindrootError, ValueError):
+    """The accuracy asks for a guard width below the region's float resolution."""
+
+
 class SingularPointError(WindrootError):
     """A curve point landed exactly on the origin, where no sector is defined."""
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NoConvergenceError, SingularSuspectedError
 from .geometry import BoundaryCurve, ConvexRegion, contains
-from .poly import Polynomial, _horner
+from .poly import Polynomial, _horner, _horner_floor, derivative
 
 __all__ = [
     "RootList",
@@ -81,7 +81,7 @@ def _group(n: int, near) -> list[list[int]]:
 _POLISH_RADIUS = 1e-6
 
 
-def _polish_clusters(coeffs, zs: list[complex]) -> list[tuple[complex, int]]:
+def _polish_clusters(f: Polynomial, zs: list[complex]) -> list[tuple[complex, int]]:
     """Snap groups of near-coincident approximations onto their common root.
 
     Simultaneous iteration leaves an m-fold root as m points spread at
@@ -98,27 +98,27 @@ def _polish_clusters(coeffs, zs: list[complex]) -> list[tuple[complex, int]]:
         if m < 2:
             out.extend(zip(members, idx))
             continue
-        g = coeffs
+        g = f
         for _ in range(m - 1):
-            g = tuple((k + 1) * c for k, c in enumerate(g[1:]))
-        dg = tuple((k + 1) * c for k, c in enumerate(g[1:]))
+            g = derivative(g)
+        dg = derivative(g)
         centroid = sum(members) / m
         z = centroid
         ok = False
         for _ in range(60):
-            dgz = _horner(dg, z)
+            dgz = _horner(dg.coeffs, z)
             if dgz == 0:
                 break
-            step = _horner(g, z) / dgz
+            step = _horner(g.coeffs, z) / dgz
             z -= step
             if abs(step) <= 4e-16 * (1.0 + abs(z)):
                 ok = True
                 break
-        worst = max(abs(_horner(coeffs, w)) for w in members)
+        worst = max(abs(_horner(f.coeffs, w)) for w in members)
         if (
             ok
             and abs(z - centroid) <= _POLISH_RADIUS
-            and abs(_horner(coeffs, z)) <= worst
+            and abs(_horner(f.coeffs, z)) <= worst
         ):
             out.extend((z, i) for i in idx)
         else:
@@ -126,7 +126,7 @@ def _polish_clusters(coeffs, zs: list[complex]) -> list[tuple[complex, int]]:
     return out
 
 
-def _inclusion_radii(coeffs, zs: list[complex]) -> list[float]:
+def _inclusion_radii(coeffs, abs_coeffs, zs: list[complex]) -> list[float]:
     """Radii n*|W_j| of disks about the approximations that hold every root.
 
     W_j = f(z_j) / (a_n * prod_{k != j} (z_j - z_k)) is the Weierstrass
@@ -138,16 +138,13 @@ def _inclusion_radii(coeffs, zs: list[complex]) -> list[float]:
     coincident pair of approximations gets an infinite radius.
     """
     n = len(zs)
-    lead = coeffs[-1]
-    abs_coeffs = tuple(abs(c) for c in coeffs)
     radii: list[float] = []
     for j, z in enumerate(zs):
-        denom = lead
+        denom = coeffs[-1]
         for k, zk in enumerate(zs):
             if k != j:
                 denom *= z - zk
-        noise = abs(_horner(abs_coeffs, abs(z)))
-        residual = abs(_horner(coeffs, z)) + 4.0 * n * math.ulp(noise)
+        residual = abs(_horner(coeffs, z)) + _horner_floor(abs_coeffs, abs(z))
         radii.append(n * residual / abs(denom) if denom != 0 else math.inf)
     return radii
 
@@ -166,7 +163,7 @@ def roots_reference(f: Polynomial) -> RootList:
     if n < 1:
         raise ValueError("a constant polynomial has no roots")
     coeffs = f.coeffs
-    dcoeffs = tuple((k + 1) * c for k, c in enumerate(coeffs[1:]))
+    dcoeffs = derivative(f).coeffs
     abs_coeffs = tuple(abs(c) for c in coeffs)
     # Fujiwara's bound 2*max_k |a_(n-k)/a_n|^(1/k), with the a_0 term
     # halved, encloses every root.  Unlike the Cauchy radius
@@ -194,8 +191,7 @@ def roots_reference(f: Polynomial) -> RootList:
             # Evaluation is meaningless below Horner's rounding floor,
             # which scales with sum(|a_k||z|^k); freezing there lets
             # multiple roots settle well inside the cluster radius.
-            noise = abs(_horner(abs_coeffs, abs(z)))
-            if abs(fz) <= 4.0 * n * math.ulp(noise):
+            if abs(fz) <= _horner_floor(abs_coeffs, abs(z)):
                 new_zs.append(z)
                 continue
             dfz = _horner(dcoeffs, z)
@@ -224,8 +220,8 @@ def roots_reference(f: Polynomial) -> RootList:
 
     # Merge clusters (multiple roots) into centroids with multiplicity.
     # A centroid's radius covers the inclusion disks of its members.
-    radii = _inclusion_radii(coeffs, zs)
-    polished = _polish_clusters(coeffs, zs)
+    radii = _inclusion_radii(coeffs, abs_coeffs, zs)
+    polished = _polish_clusters(f, zs)
     points = [z for z, _ in polished]
     merged: list[tuple[complex, float]] = []
     near = lambda i, j: abs(points[i] - points[j]) <= _CLUSTER_RADIUS

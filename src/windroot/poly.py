@@ -74,6 +74,11 @@ def _horner(coeffs: tuple[complex, ...], z: complex) -> complex:
     return acc
 
 
+def _horner_floor(abs_coeffs: tuple[float, ...], r: float) -> float:
+    """Horner's rounding floor 4*n*ulp(sum |a_k| r^k) for |f(z)| at |z| = r."""
+    return 4.0 * (len(abs_coeffs) - 1) * math.ulp(abs(_horner(abs_coeffs, r)))
+
+
 def eval(f: Polynomial, z: complex, ctr: EvalCounter | None = None) -> complex:
     """Return f(z) by the Horner recurrence, memoized through ``ctr``.
 

@@ -17,12 +17,14 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import (
+    AccuracyBelowResolutionError,
     CountMismatchError,
     InitialRegionSingularError,
     SubdivisionFailedError,
 )
 from .geometry import (
     SIN_PI_8,
+    BoundaryCurve,
     ConvexRegion,
     boundary,
     cut,
@@ -65,31 +67,23 @@ class RootBox:
 class RdpConfig:
     """Frozen parameters of one subdivision run.
 
-    ``q`` is the guard width handed to every boundary winding test; it
-    must not exceed choose_q(accuracy, n0, n), the largest width for
-    which the shifted-cut search is guaranteed to succeed.  ``n0`` is
-    the number of roots in the initial region, ``n`` the degree, and
-    ``max_level`` the depth at which subdivision refuses to continue.
+    ``q`` is the guard width choose_q(accuracy, n0, n) for ``n0`` roots
+    in the initial region and degree ``n``.
     """
 
     accuracy: float
-    q: float
     n0: int
     n: int
-    max_level: int
 
     def __post_init__(self):
-        if self.accuracy <= 0:
-            raise ValueError("accuracy must be positive")
+        if not 0 < self.accuracy < math.inf:
+            raise ValueError("accuracy must be positive and finite")
         if self.n0 < 1 or self.n < 1:
             raise ValueError("root count and degree must be at least 1")
-        if not 0 < self.q <= choose_q(self.accuracy, self.n0, self.n):
-            raise ValueError(
-                f"q={self.q!r} exceeds choose_q(accuracy, n0, n)="
-                f"{choose_q(self.accuracy, self.n0, self.n)!r}"
-            )
-        if self.max_level < 0:
-            raise ValueError("max_level must be nonnegative")
+
+    @property
+    def q(self) -> float:
+        return choose_q(self.accuracy, self.n0, self.n)
 
 
 @dataclass
@@ -225,46 +219,64 @@ def divide(
     return (right_t, left_t, right_b, left_b), (cr_t, cl_t, cr_b, cl_b)
 
 
+def _check_resolution(curve: BoundaryCurve, q: float) -> None:
+    """Raise AccuracyBelowResolutionError unless q >= 4u.
+
+    u = max(ulp(perimeter), ulp(c)), c the largest coordinate modulus,
+    bounds the spacing of parameters and coordinates on this curve and
+    on every part cut from it later.  ``ipsr`` rounds a midpoint by at
+    most u/2, so a gap of 2u still splits; as the test ends once a left
+    half is no wider than q, every pair it creates and then splits is
+    wider than q - u.  Points are computed to about u.  So q >= 4u keeps
+    every split pair wider than 3u, with distinct samples in order, and
+    the gap guard fires before bisection reaches float resolution.
+    """
+    c = max(max(abs(v.real), abs(v.imag)) for v in curve.points)
+    u = max(math.ulp(curve.perimeter), math.ulp(c))
+    if q < 4.0 * u:
+        raise AccuracyBelowResolutionError(
+            f"guard width {q!r} lies below 4 ulp ({u!r}) of the "
+            f"region (perimeter {curve.perimeter!r}, largest coordinate {c!r}); "
+            "raise the accuracy, or shrink the region or move it nearer the origin"
+        )
+
+
 def rdp(
-    region: ConvexRegion,
-    f: Polynomial,
-    accuracy: float,
-    *,
-    q: float | None = None,
+    region: ConvexRegion, f: Polynomial, accuracy: float
 ) -> tuple[list[RootBox], RdpStats]:
     """Isolate every root of ``f`` inside ``region`` in boxes smaller than ``accuracy``.
 
-    Runs the boundary winding test on the whole region first (raising
-    InitialRegionSingularError when a root sits too close to the border
-    to certify anything), then subdivides level by level.  Returns the
-    boxes sorted by envelope center together with run statistics.
-    Raises SubdivisionFailedError when no trial line cuts a region or the
-    depth limit is reached, and the internal failures CountMismatchError
-    when a region's parts do not account for its roots and
-    NonTerminationError when a boundary test's parameter gap falls below
-    float resolution.
-    ``q`` overrides the guard width (it must not exceed
-    choose_q(accuracy, degree, degree)); by default the width is chosen
-    from the degree, then relaxed once the actual root count inside is
-    known.
+    Counts the roots n0 inside the whole region at the guard width
+    RdpConfig(accuracy, n, n).q, n the degree, then subdivides level by
+    level at RdpConfig(accuracy, n0, n).q.  Returns the boxes sorted by
+    envelope center together with run statistics.  Raises, besides
+    ValueError on bad input: AccuracyBelowResolutionError before any
+    evaluation when the first width is below float resolution (see
+    ``_check_resolution``); InitialRegionSingularError when a root sits
+    too close to the border; SubdivisionFailedError when no trial line
+    cuts a region or the depth limit is reached; and the internal
+    failures CountMismatchError (n0 outside [0, n], or cut parts that
+    do not account for a region's roots) and NonTerminationError.
     """
-    if region.is_empty:
-        raise ValueError("cannot subdivide the empty region")
-    if accuracy <= 0:
-        raise ValueError("accuracy must be positive")
     n = f.degree
     if n < 1:
         raise ValueError("a constant polynomial has no roots to isolate")
 
     ctr = EvalCounter()
     stats = RdpStats()
-    q_boot = choose_q(accuracy, n, n) if q is None else q
+    q = RdpConfig(accuracy, n, n).q  # checks the accuracy
     curve = boundary(region)
-    outcome = ipsr(curve, f, initial_samples(curve), q_boot, ctr)
-    stats.ipsr_calls.append((curve.perimeter, q_boot, outcome.insertions))
+    _check_resolution(curve, q)
+    outcome = ipsr(curve, f, initial_samples(curve), q, ctr)
+    stats.ipsr_calls.append((curve.perimeter, q, outcome.insertions))
     if isinstance(outcome, SingularError):
         raise InitialRegionSingularError(outcome.t, outcome.guarantee)
     n0 = outcome.index
+    if not 0 <= n0 <= n:
+        raise CountMismatchError(
+            f"initial boundary test counts {n0} roots for degree {n} "
+            f"(region envelope {envelope(region)})"
+        )
     dr = diam_rect(region)
     stats.budget = pe_budget(max(n0, 1), n, accuracy, dr)
     stats.visited.append((0, region))
@@ -273,13 +285,8 @@ def rdp(
         stats.pe = ctr.evaluations
         return [], stats
 
-    run_q = q_boot
-    if q is None and n0 < n:
-        # Fewer roots than the degree allows a wider guard; correctness
-        # is unaffected, every test just terminates sooner.
-        run_q = choose_q(accuracy, n0, n)
+    cfg = RdpConfig(accuracy, n0, n)  # n0 < n widens the guard
     max_level = max(math.ceil(math.log2(dr / accuracy)), 0) + 2
-    cfg = RdpConfig(accuracy, run_q, n0, n, max_level)
 
     boxes: list[RootBox] = []
     frontier: list[tuple[ConvexRegion, int]] = [(region, n0)]
@@ -296,7 +303,7 @@ def rdp(
                 # evaluations and return the same value.
                 boxes.append(RootBox(reg, cnt))
                 continue
-            if level >= cfg.max_level:
+            if level >= max_level:
                 raise SubdivisionFailedError(
                     f"region still wider than the accuracy at level {level} "
                     f"(diam_rect {diam_rect(reg)!r} >= {accuracy!r})"

@@ -1,5 +1,6 @@
 """Command-line interface: parsing, JSON output, SVG, exit codes."""
 
+import dataclasses
 import importlib
 import io
 import json
@@ -14,7 +15,13 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 import windroot
-from windroot import ConvexRegion, NoConvergenceError, Polynomial, RootBox, choose_q
+from windroot import (
+    ConvexRegion,
+    NoConvergenceError,
+    NonTerminationError,
+    Polynomial,
+    RootBox,
+)
 from windroot.cli import _ParseError, _verify_boxes, main, parse_poly_shorthand
 
 from support import poly_from_roots
@@ -134,7 +141,11 @@ class TestRuns:
         return done.returncode
 
     def test_import_leaves_numpy_out(self):
-        code = "import sys, windroot.cli; sys.exit('numpy' in sys.modules)"
+        # Only --verify needs numpy and only --svg needs ElementTree.
+        code = (
+            "import sys, windroot.cli\n"
+            "sys.exit('numpy' in sys.modules or 'xml.etree.ElementTree' in sys.modules)"
+        )
         assert self.fresh_python(code) == 0
 
     def test_solve_leaves_numpy_out(self):
@@ -167,17 +178,65 @@ class TestRuns:
             "but the region holds 3 (level 0, region envelope (-2.0, -2.0, 2.0, 2.0))\n"
         )
 
-    def test_gap_below_float_resolution_exits_four(self):
+    def test_accuracy_below_float_resolution_refused_up_front(self, monkeypatch):
         # The guard width (about 1.9e-17) lies below the float spacing of
-        # the boundary parameter near 10.7.
+        # the boundary parameter near 12.8; no boundary test may run.
+        rdp_module = importlib.import_module("windroot.rdp")
+        calls = []
+        ipsr = rdp_module.ipsr
+        monkeypatch.setattr(
+            rdp_module, "ipsr", lambda *args: calls.append(args) or ipsr(*args)
+        )
         code, out, err = run_cli(
             ["--poly", "z^60-1", "--rect", "1", "-2.1", "3", "2.3", "--accuracy", "1e-12"]
         )
+        assert code == 1
+        assert out == ""
+        assert calls == []
+        assert err == (
+            "windroot: guard width 1.8791531255076284e-17 lies below 4 ulp "
+            "(1.7763568394002505e-15) of the region (perimeter 12.8, largest "
+            "coordinate 3.0); raise the accuracy, or shrink the region or move "
+            "it nearer the origin\n"
+        )
+
+    def test_gap_below_float_resolution_exits_four(self, monkeypatch):
+        # Refusing unresolvable accuracies up front keeps this out of
+        # reach of real runs; a boundary test that raises it still maps
+        # to an internal failure.
+        def stuck(*args):
+            raise NonTerminationError(
+                "parameter gap [1.0, 1.0000000000000002] is below float resolution"
+            )
+
+        monkeypatch.setattr(importlib.import_module("windroot.rdp"), "ipsr", stuck)
+        code, out, err = run_cli(CUBE_ARGS)
         assert code == 4
         assert out == ""
         assert err == (
             "windroot: internal solver failure: parameter gap "
-            "[10.699999999999998, 10.7] is below float resolution\n"
+            "[1.0, 1.0000000000000002] is below float resolution\n"
+        )
+
+    @pytest.mark.parametrize("bump, count", [(1, 4), (-5, -2)])
+    def test_impossible_initial_count_exits_four(self, monkeypatch, bump, count):
+        rdp_module = importlib.import_module("windroot.rdp")
+        ipsr = rdp_module.ipsr
+        calls = []
+
+        def miscount(*args):
+            outcome = ipsr(*args)
+            calls.append(outcome)
+            return dataclasses.replace(outcome, index=outcome.index + bump)
+
+        monkeypatch.setattr(rdp_module, "ipsr", miscount)
+        code, out, err = run_cli(CUBE_ARGS)
+        assert code == 4
+        assert out == ""
+        assert len(calls) == 1
+        assert err == (
+            f"windroot: internal solver failure: initial boundary test counts "
+            f"{count} roots for degree 3 (region envelope (-2.0, -2.0, 2.0, 2.0))\n"
         )
 
     def test_verify_accepts_clustered_roots_and_flags_a_tampered_count(self):
@@ -294,12 +353,25 @@ class TestBadInvocations:
         code, _, err = run_cli(["--poly", "z", "--rect", "0", "0", "1", "1", "--accuracy", "0"])
         assert code == 1 and "accuracy" in err
 
+    @pytest.mark.parametrize("accuracy", ["nan", "inf"])
+    def test_nonfinite_accuracy(self, accuracy):
+        # An infinite accuracy used to report a singular boundary (exit 2).
+        code, out, err = run_cli(CUBE_ARGS[:-1] + [accuracy])
+        assert code == 1 and out == ""
+        assert err == "windroot: accuracy must be positive and finite\n"
+
     def test_zero_threads(self):
         # The solver runs on one thread; there is no --threads option.
         code, _, err = run_cli(
             ["--poly", "z", "--rect", "0", "0", "1", "1", "--accuracy", "1", "--threads", "0"]
         )
         assert code == 1 and "unrecognized arguments: --threads" in err
+
+    def test_guard_width_option_removed(self):
+        # The guard width follows from the accuracy and the counts.
+        code, out, err = run_cli(CUBE_ARGS + ["--q", "1e-6"])
+        assert code == 1 and out == ""
+        assert "unrecognized arguments: --q" in err
 
     def test_missing_region_file(self):
         code, _, err = run_cli(
@@ -310,14 +382,3 @@ class TestBadInvocations:
     def test_degenerate_region(self):
         code, _, _ = run_cli(["--poly", "z", "--rect", "0", "0", "0", "1", "--accuracy", "1"])
         assert code == 1
-
-    def test_q_above_limit(self):
-        limit = choose_q(1e-3, 3, 3)
-        code, _, err = run_cli(CUBE_ARGS + ["--q", repr(math.nextafter(limit, 1.0))])
-        assert code == 1 and "q must lie in" in err
-
-    def test_q_at_limit_accepted(self):
-        limit = choose_q(1e-3, 3, 3)
-        code, out, _ = run_cli(CUBE_ARGS + ["--q", repr(limit)])
-        assert code == 0
-        assert len(json.loads(out)["boxes"]) == 3

@@ -1,14 +1,17 @@
 """Recursive subdivision: guard width, budgets, cutting, and full runs."""
 
+import dataclasses
 import math
 import random
 
 import pytest
 
 from windroot import (
+    AccuracyBelowResolutionError,
     ConvexRegion,
     InitialRegionSingularError,
     Polynomial,
+    WindrootError,
     choose_q,
     contains,
     divide,
@@ -74,26 +77,26 @@ class TestBudgets:
 
 
 class TestConfig:
-    def test_q_at_limit_accepted(self):
-        q = choose_q(1e-3, 2, 4)
-        cfg = RdpConfig(1e-3, q, 2, 4, 10)
-        assert cfg.q == q
+    def test_q_is_derived_from_accuracy_and_counts(self):
+        rng = random.Random(84)
+        for _ in range(50):
+            a = rng.uniform(1e-9, 1.0)
+            n = rng.randint(1, 64)
+            n0 = rng.randint(1, n)
+            assert RdpConfig(a, n0, n).q == choose_q(a, n0, n)
 
-    def test_q_above_limit_rejected(self):
-        q = choose_q(1e-3, 2, 4)
-        with pytest.raises(ValueError):
-            RdpConfig(1e-3, math.nextafter(q, 1.0), 2, 4, 10)
+    def test_fields_are_accuracy_and_counts_only(self):
+        names = [f.name for f in dataclasses.fields(RdpConfig)]
+        assert names == ["accuracy", "n0", "n"]
 
     def test_other_validations(self):
-        q = choose_q(1e-3, 1, 1)
+        for accuracy in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                RdpConfig(accuracy, 1, 1)
         with pytest.raises(ValueError):
-            RdpConfig(0.0, q, 1, 1, 10)
+            RdpConfig(1e-3, 0, 1)
         with pytest.raises(ValueError):
-            RdpConfig(1e-3, q, 0, 1, 10)
-        with pytest.raises(ValueError):
-            RdpConfig(1e-3, 0.0, 1, 1, 10)
-        with pytest.raises(ValueError):
-            RdpConfig(1e-3, q, 1, 1, -1)
+            RdpConfig(1e-3, 1, 0)
 
     def test_box_validations(self):
         with pytest.raises(ValueError):
@@ -105,7 +108,7 @@ class TestConfig:
 class TestDivide:
     def test_root_on_midline_shifts_horizontal_cut_only(self):
         f = Polynomial((-1, 0, 0, 1))  # roots at 1 and on the unit circle
-        cfg = RdpConfig(1e-3, choose_q(1e-3, 3, 3), 3, 3, 13)
+        cfg = RdpConfig(1e-3, 3, 3)
         stats = RdpStats()
         _, counts = divide(rect(-1.9, -2, 2.1, 2), f, cfg, EvalCounter(), stats)
         assert counts == (0, 1, 1, 1)
@@ -114,7 +117,7 @@ class TestDivide:
 
     def test_two_roots_on_midline(self):
         f = Polynomial((0, -1, 1))  # z^2 - z, roots 0 and 1
-        cfg = RdpConfig(1e-3, choose_q(1e-3, 2, 2), 2, 2, 13)
+        cfg = RdpConfig(1e-3, 2, 2)
         stats = RdpStats()
         _, counts = divide(rect(-1, -1, 2, 1), f, cfg, EvalCounter(), stats)
         step = 2.0 * cfg.n / SIN_PI_8 * cfg.q
@@ -132,7 +135,7 @@ class TestDivide:
             y0 = min(r.imag for r in roots) - 0.4
             x1 = max(r.real for r in roots) + 0.4
             y1 = max(r.imag for r in roots) + 0.4
-            cfg = RdpConfig(1e-2, choose_q(1e-2, n, n), n, n, 20)
+            cfg = RdpConfig(1e-2, n, n)
             parts, counts = divide(rect(x0, y0, x1, y1), f, cfg, EvalCounter(), RdpStats())
             assert sum(counts) == n
             for part, c in zip(parts, counts):
@@ -141,7 +144,7 @@ class TestDivide:
 
     def test_parts_cover_parent_envelope(self):
         f = CUBE
-        cfg = RdpConfig(1e-3, choose_q(1e-3, 3, 3), 3, 3, 13)
+        cfg = RdpConfig(1e-3, 3, 3)
         region = rect(-2, -2, 2, 2)
         parts, _ = divide(region, f, cfg, EvalCounter(), RdpStats())
         area = sum(
@@ -243,12 +246,41 @@ class TestRdp:
             centers.append(((x0 + x1) / 2, (y0 + y1) / 2))
         assert centers == sorted(centers)
 
-    def test_custom_q_accepted_and_validated(self):
-        q = choose_q(1e-3, 3, 3)
-        boxes, _ = rdp(rect(-2, -2, 2, 2), CUBE, 1e-3, q=q)
-        assert len(boxes) == 3
-        with pytest.raises(ValueError):
-            rdp(rect(-2, -2, 2, 2), CUBE, 1e-3, q=math.nextafter(q, 1.0))
+    def test_guard_width_widens_once_the_count_is_known(self):
+        # One root of z^3 + 1 inside: the initial test runs at the
+        # degree's width, the subdivision at the count's.
+        boxes, stats = rdp(rect(-1.5, -0.5, -0.5, 0.5), CUBE, 1e-3)
+        assert [b.count for b in boxes] == [1]
+        qs = [q for _, q, _ in stats.ipsr_calls]
+        assert qs[0] == choose_q(1e-3, 3, 3)
+        assert len(qs) > 1
+        assert all(q == choose_q(1e-3, 1, 3) for q in qs[1:])
+
+    def test_guard_width_cannot_be_overridden(self):
+        with pytest.raises(TypeError):
+            rdp(rect(-2, -2, 2, 2), CUBE, 1e-3, q=choose_q(1e-3, 3, 3))
+
+    def test_accuracy_below_perimeter_resolution_refused(self):
+        # Guard width about 1.9e-17 against ulp(12.8), about 1.8e-15.
+        f = Polynomial((-1,) + (0,) * 59 + (1,))  # z^60 - 1
+        with pytest.raises(AccuracyBelowResolutionError) as err:
+            rdp(ConvexRegion.from_json({"rect": [1, -2.1, 3, 2.3]}), f, 1e-12)
+        assert isinstance(err.value, ValueError)
+        assert isinstance(err.value, WindrootError)
+        assert "perimeter 12.8" in str(err.value)
+
+    def test_accuracy_below_coordinate_resolution_refused(self):
+        # Far from the origin the coordinates, not the perimeter, limit
+        # the width: ulp(1e6 + 1) is about 1.2e-10.
+        c = 1e6 + 0.5
+        f = Polynomial((-c, 1))
+        region = ConvexRegion.from_json({"rect": [1e6, -1, 1e6 + 1, 1]})
+        with pytest.raises(AccuracyBelowResolutionError) as err:
+            rdp(region, f, 1e-9)
+        assert "largest coordinate 1000001.0" in str(err.value)
+        boxes, _ = rdp(region, f, 1e-6)
+        assert [b.count for b in boxes] == [1]
+        assert contains(boxes[0].region, c)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
