@@ -4,8 +4,9 @@ Parses a polynomial (JSON coefficients or ``z^3+1`` shorthand) and a
 convex region (rectangle or polygon), runs the subdivision solver, and
 prints the root boxes as JSON with 17-significant-digit floats.  An
 optional SVG renders the subdivision tree and the boxes.  Exit codes: 0
-success, 1 bad request (an accuracy below the region's float resolution
-is refused before any work) or a ``--verify`` disagreement, 2 root too
+success, 1 bad request (an accuracy below the region's float resolution,
+or a polynomial whose values could overflow on the region, is refused
+before any work) or a ``--verify`` disagreement, 2 root too
 close to the initial boundary, 3 no root-free cut line, 4 internal
 solver failure (an initial count outside [0, degree], cut parts whose
 counts do not add up, or a boundary parameter gap below float
@@ -16,8 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
-import os
 import re
 import sys
 import time
@@ -36,8 +35,6 @@ from .poly import Polynomial
 from .rdp import RdpStats, RootBox, rdp
 
 __all__ = ["RunRequest", "run", "main"]
-
-_log = logging.getLogger("windroot.cli")
 
 
 class _ParseError(Exception):
@@ -367,7 +364,6 @@ def run(request: RunRequest) -> int:
         print(f"windroot: {exc}", file=sys.stderr)
         return 1
     seconds = time.perf_counter() - started
-    _log.debug("%d boxes in %.3fs, %d evaluations", len(boxes), seconds, stats.pe)
     sys.stdout.write(
         _result_json(boxes, stats if request.stats else None, seconds) + "\n"
     )
@@ -378,19 +374,7 @@ def run(request: RunRequest) -> int:
     return 0
 
 
-def _configure_logging() -> None:
-    level_name = os.environ.get("WINDROOT_LOG")
-    if not level_name:
-        return
-    level = getattr(logging, level_name.upper(), None)
-    if isinstance(level, int):
-        logging.basicConfig(
-            level=level, stream=sys.stderr, format="%(name)s: %(message)s"
-        )
-
-
 def main(argv=None) -> int:
-    _configure_logging()
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)

@@ -34,6 +34,8 @@ __all__ = [
 _CLUSTER_RADIUS = 1e-7
 _MAX_SWEEPS = 1000
 _MAX_WINDING_SAMPLES = 2**20
+_SAMPLES = 4096  # first resolution of the dense samplers, doubled each round
+_RTOL = 1e-6  # relative agreement of successive sampled minima that ends them
 
 
 @dataclass(frozen=True)
@@ -267,7 +269,7 @@ def count_bounds(roots: RootList, regions) -> list[tuple[int, int]]:
     return bounds
 
 
-def winding_brute(delta, samples: int = 4096, per: float | None = None) -> int:
+def winding_brute(delta, per: float | None = None) -> int:
     """Winding number of a closed curve by dense argument accumulation.
 
     Sums principal-branch argument increments over uniform samples,
@@ -279,7 +281,7 @@ def winding_brute(delta, samples: int = 4096, per: float | None = None) -> int:
     if per is None:
         per = delta.perimeter
     last_valid: int | None = None
-    m = samples
+    m = _SAMPLES
     while m <= _MAX_WINDING_SAMPLES:
         ws = [complex(delta(per * k / m)) for k in range(m)]
         ws.append(ws[0])
@@ -341,25 +343,20 @@ def dist_set_curve(roots: RootList, curve: BoundaryCurve) -> float:
     return min(_dist_point_polygon(z, vertices) for z in roots)
 
 
-def dist_origin_curve(
-    delta,
-    per: float | None = None,
-    samples: int = 4096,
-    rtol: float = 1e-6,
-) -> float:
+def dist_origin_curve(delta, per: float | None = None) -> float:
     """Minimum modulus along a closed curve by dense sampling.
 
-    Doubles the resolution until two successive minima agree to ``rtol``
-    relative; the sampled minimum overestimates the true one, so use
-    only in checks with slack for it.
+    Doubles the resolution from 4096 samples until two successive minima
+    agree to 1e-6 relative; the sampled minimum overestimates the true
+    one, so use only in checks with slack for it.
     """
     if per is None:
         per = delta.perimeter
     prev: float | None = None
-    m = samples
+    m = _SAMPLES
     while True:
         current = min(abs(complex(delta(per * k / m))) for k in range(m))
-        if prev is not None and abs(current - prev) <= rtol * max(current, prev):
+        if prev is not None and abs(current - prev) <= _RTOL * max(current, prev):
             return min(current, prev)
         if m >= _MAX_WINDING_SAMPLES:
             return current if prev is None else min(current, prev)
@@ -367,12 +364,7 @@ def dist_origin_curve(
         m *= 2
 
 
-def min_image_modulus(
-    f: Polynomial,
-    curve: BoundaryCurve,
-    samples: int = 4096,
-    rtol: float = 1e-6,
-) -> float:
+def min_image_modulus(f: Polynomial, curve: BoundaryCurve) -> float:
     """Minimum of |f| along a polygon boundary, vectorized dense sampling.
 
     Same refinement contract as ``dist_origin_curve`` but evaluates the
@@ -383,12 +375,12 @@ def min_image_modulus(
     xs, ys = pts.real, pts.imag
     per = curve.perimeter
     prev: float | None = None
-    m = samples
+    m = _SAMPLES
     while True:
         ts = np.linspace(0.0, per, m, endpoint=False)
         zs = np.interp(ts, cum, xs) + 1j * np.interp(ts, cum, ys)
         current = float(np.abs(np.polynomial.polynomial.polyval(zs, f.coeffs)).min())
-        if prev is not None and abs(current - prev) <= rtol * max(current, prev):
+        if prev is not None and abs(current - prev) <= _RTOL * max(current, prev):
             return min(current, prev)
         if m >= _MAX_WINDING_SAMPLES:
             return current if prev is None else min(current, prev)

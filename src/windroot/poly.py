@@ -57,14 +57,17 @@ class Polynomial:
 class EvalCounter:
     """Evaluation meter with a point -> value memo for a single polynomial.
 
-    ``evaluations`` increments exactly once per cache miss and never on a
-    hit.  One counter serves one run: it must not be shared between
-    different polynomials (the cache is keyed by the point alone) and is
-    not safe for concurrent use.
+    ``evaluations`` counts the cache misses: ``eval`` stores every miss
+    and nothing else.  One counter serves one run: it must not be shared
+    between different polynomials (the cache is keyed by the point
+    alone) and is not safe for concurrent use.
     """
 
-    evaluations: int = 0
     cache: dict[complex, complex] = field(default_factory=dict)
+
+    @property
+    def evaluations(self) -> int:
+        return len(self.cache)
 
 
 def _horner(coeffs: tuple[complex, ...], z: complex) -> complex:
@@ -93,7 +96,6 @@ def eval(f: Polynomial, z: complex, ctr: EvalCounter | None = None) -> complex:
         return hit
     value = _horner(f.coeffs, z)
     ctr.cache[z] = value
-    ctr.evaluations += 1
     return value
 
 

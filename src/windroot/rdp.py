@@ -12,7 +12,6 @@ counter, which the closed-form evaluation budgets refer to.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -31,7 +30,7 @@ from .geometry import (
     diam_rect,
     envelope,
 )
-from .poly import EvalCounter, Polynomial
+from .poly import EvalCounter, Polynomial, _horner
 from .winding import Normal, SingularError, initial_samples, ipsr
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-_log = logging.getLogger("windroot.rdp")
 
 
 @dataclass(frozen=True)
@@ -241,6 +239,28 @@ def _check_resolution(curve: BoundaryCurve, q: float) -> None:
         )
 
 
+def _check_range(f: Polynomial, region: ConvexRegion) -> None:
+    """Raise ValueError unless 4*n*S is finite, S = sum |a_k| max(R, 1)^k.
+
+    R, the largest vertex modulus, bounds |z| on the convex region, so S
+    bounds |f| and f's Horner partial sums there, and n*S bounds the
+    coefficients k*a_k of f', |f'| and its partial sums.  Each part of a
+    Horner product acc*z is a sum of two real products whose moduli add
+    up to at most |acc||z| (Cauchy-Schwarz), so no exact intermediate
+    exceeds n*S; rounding adds a factor below 1 + gamma_4n < 2 (Higham,
+    section 5.1), and the same factor covers the rounding of S itself.
+    """
+    r = max(max(abs(v) for v in region.vertices), 1.0)
+    bound = f.degree * abs(_horner(tuple(abs(c) for c in f.coeffs), r))
+    if not math.isfinite(4.0 * bound):
+        raise ValueError(
+            "polynomial values overflow double precision on the region "
+            f"(degree * sum |a_k| r^k at r = {r!r} exceeds a quarter of the "
+            "largest float); scale the coefficients, or shrink the region "
+            "or move it nearer the origin"
+        )
+
+
 def rdp(
     region: ConvexRegion, f: Polynomial, accuracy: float
 ) -> tuple[list[RootBox], RdpStats]:
@@ -250,7 +270,8 @@ def rdp(
     RdpConfig(accuracy, n, n).q, n the degree, then subdivides level by
     level at RdpConfig(accuracy, n0, n).q.  Returns the boxes sorted by
     envelope center together with run statistics.  Raises, besides
-    ValueError on bad input: AccuracyBelowResolutionError before any
+    ValueError on bad input (up front for values that could overflow,
+    see ``_check_range``): AccuracyBelowResolutionError before any
     evaluation when the first width is below float resolution (see
     ``_check_resolution``); InitialRegionSingularError when a root sits
     too close to the border; SubdivisionFailedError when no trial line
@@ -267,6 +288,7 @@ def rdp(
     q = RdpConfig(accuracy, n, n).q  # checks the accuracy
     curve = boundary(region)
     _check_resolution(curve, q)
+    _check_range(f, region)
     outcome = ipsr(curve, f, initial_samples(curve), q, ctr)
     stats.ipsr_calls.append((curve.perimeter, q, outcome.insertions))
     if isinstance(outcome, SingularError):
@@ -280,7 +302,6 @@ def rdp(
     dr = diam_rect(region)
     stats.budget = pe_budget(max(n0, 1), n, accuracy, dr)
     stats.visited.append((0, region))
-    _log.debug("initial region holds %d roots (degree %d)", n0, n)
     if n0 == 0:
         stats.pe = ctr.evaluations
         return [], stats
@@ -293,7 +314,6 @@ def rdp(
     level = 0
     while frontier:
         next_frontier: list[tuple[ConvexRegion, int]] = []
-        split = 0
         for reg, cnt in frontier:
             if cnt == 0:
                 continue
@@ -309,7 +329,6 @@ def rdp(
                     f"(diam_rect {diam_rect(reg)!r} >= {accuracy!r})"
                 )
             parts, counts = divide(reg, f, cfg, ctr, stats)
-            split += 1
             if sum(counts) != cnt:
                 raise CountMismatchError(
                     f"cut parts account for {sum(counts)} roots "
@@ -322,9 +341,6 @@ def rdp(
                 stats.visited.append((level + 1, part))
                 stats.max_level = level + 1
                 next_frontier.append((part, c))
-        _log.debug(
-            "level %d: %d regions split, %d boxes so far", level, split, len(boxes)
-        )
         frontier = next_frontier
         level += 1
 

@@ -141,10 +141,12 @@ class TestRuns:
         return done.returncode
 
     def test_import_leaves_numpy_out(self):
-        # Only --verify needs numpy and only --svg needs ElementTree.
+        # Only --verify needs numpy and only --svg needs ElementTree; a run
+        # reports through its result and --stats, so no logging either.
         code = (
             "import sys, windroot.cli\n"
-            "sys.exit('numpy' in sys.modules or 'xml.etree.ElementTree' in sys.modules)"
+            "unused = ('numpy', 'xml.etree.ElementTree', 'logging', 'traceback')\n"
+            "sys.exit(any(name in sys.modules for name in unused))"
         )
         assert self.fresh_python(code) == 0
 
@@ -199,6 +201,39 @@ class TestRuns:
             "coordinate 3.0); raise the accuracy, or shrink the region or move "
             "it nearer the origin\n"
         )
+
+    @pytest.mark.parametrize(
+        "poly, rect, accuracy",
+        [
+            # |f'| overflowed on the boundary: a false singular boundary (exit 2).
+            ("1e305z^100-1", ["0.5", "0.5", "0.74", "0.74"], "1e-3"),
+            # The derivative's coefficients overflowed (exit 1, "non-finite coefficient").
+            ("1e307z^100-1", ["0.1", "0.1", "0.7", "0.7"], "1e-3"),
+            # f overflowed to NaN on the boundary (exit 1 after evaluating).
+            ("z^120-1", ["1000", "1000", "1001", "1001"], "1e-2"),
+        ],
+        ids=["derivative-values", "derivative-coefficients", "values"],
+    )
+    def test_values_overflowing_double_precision_refused_up_front(
+        self, monkeypatch, poly, rect, accuracy
+    ):
+        def never(*args):
+            pytest.fail("a boundary test ran")
+
+        monkeypatch.setattr(importlib.import_module("windroot.rdp"), "ipsr", never)
+        code, out, err = run_cli(["--poly", poly, "--rect", *rect, "--accuracy", accuracy])
+        assert code == 1 and out == ""
+        assert err.startswith(
+            "windroot: polynomial values overflow double precision on the region "
+        )
+
+    def test_large_coefficients_within_double_range_run(self):
+        # 4 * 100 * (1e305 + 1) is still finite on a region inside |z| < 1.
+        code, out, err = run_cli(
+            ["--poly", "1e305z^100-1", "--rect", "0.3", "0.3", "0.7", "0.7", "--accuracy", "1e-3"]
+        )
+        assert code == 0 and err == ""
+        assert json.loads(out)["boxes"] == []
 
     def test_gap_below_float_resolution_exits_four(self, monkeypatch):
         # Refusing unresolvable accuracies up front keeps this out of

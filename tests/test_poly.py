@@ -1,5 +1,6 @@
 """Polynomial construction, Horner evaluation, memoization, and bounds."""
 
+import dataclasses
 import math
 import random
 
@@ -77,6 +78,15 @@ class TestEvalCounter:
         assert a == b
         eval(f, 0.25 + 0j, ctr)
         assert ctr.evaluations == 2
+
+    def test_count_is_the_cache_size_and_read_only(self):
+        assert [f.name for f in dataclasses.fields(EvalCounter)] == ["cache"]
+        ctr = EvalCounter()
+        for z in (1j, 2j, 1j, 3j):
+            eval(Polynomial((1, 1)), z, ctr)
+        assert ctr.evaluations == len(ctr.cache) == 3
+        with pytest.raises(AttributeError):
+            ctr.evaluations = 0
 
     def test_uncounted_when_counter_absent(self):
         assert eval(Polynomial((1, 1)), 2 + 0j) == 3 + 0j

@@ -14,6 +14,9 @@ from windroot import (
     SingularError,
     SingularPointError,
     boundary,
+    choose_q,
+    divide,
+    envelope,
     initial_samples,
     ip,
     ips,
@@ -27,6 +30,7 @@ from windroot import (
 )
 from windroot.geometry import SIN_PI_8
 from windroot.poly import EvalCounter, eval as peval
+from windroot.rdp import RdpConfig, RdpStats
 from windroot.winding import SampleArray, _refine
 from windroot.oracle import RootList, condition_number, dist_set_curve, winding_brute
 
@@ -297,7 +301,7 @@ class TestIpsr:
             n = rng.randint(2, 6)
             roots = random_roots(rng, n)
             region = random_rect_clear_of(rng, roots, margin=0.3)
-            x0, y0, x1, _ = __import__("windroot").envelope(region)
+            x0, y0, x1, _ = envelope(region)
             near = complex(rng.uniform(x0 + 0.2, x1 - 0.2), y0 + Q / 10)
             roots[0] = near
             f = poly_from_roots(roots, random_lead(rng))
@@ -370,7 +374,7 @@ class TestIpsrMatchesScan:
                 # A root within Q/10 of an edge (mostly error exits), or
                 # a few Q inside it (deep refinement).
                 region = random_rect_clear_of(rng, roots, margin=0.2)
-                x0, y0, x1, _ = __import__("windroot").envelope(region)
+                x0, y0, x1, _ = envelope(region)
                 off = rng.uniform(-0.1, 0.1) if k % 8 == 3 else rng.uniform(2.0, 50.0)
                 roots[0] = complex(rng.uniform(x0 + 0.1, x1 - 0.1), y0 + off * Q)
             elif k % 4 == 2:
@@ -381,6 +385,32 @@ class TestIpsrMatchesScan:
             out = self.assert_same(boundary(region), f, Q)
             kinds[type(out)] += 1
         assert kinds[Normal] >= 200 and kinds[SingularError] >= 30
+
+        # High degree: z^n - 1 on ROADMAP item 1's rectangle and on the
+        # parts of one division of it, at the guard widths rdp uses.
+        region = rect(-2.1, -2.13, 2.07, 2.11)
+        for n in (20, 33, 46, 64):
+            f = Polynomial((-1,) + (0,) * (n - 1) + (1,))
+            out = self.assert_same(boundary(region), f, choose_q(1e-3, n, n))
+            cfg = RdpConfig(1e-3, out.index, n)
+            parts, _ = divide(region, f, cfg, EvalCounter(), RdpStats())
+            for part in parts:
+                if not part.is_empty:
+                    self.assert_same(boundary(part), f, cfg.q)
+        # Random degree 20-60, with a root near an edge as above in every
+        # other instance.
+        high = {Normal: 0, SingularError: 0}
+        for k in range(12):
+            roots = random_roots(rng, rng.randint(20, 60), min_sep=0.1)
+            Q = 10 ** rng.uniform(-4, -3)
+            region = random_rect_clear_of(rng, roots, margin=0.05)
+            if k % 2:
+                x0, y0, x1, _ = envelope(region)
+                off = rng.uniform(-0.1, 0.1) if k % 4 == 1 else rng.uniform(2.0, 50.0)
+                roots[0] = complex(rng.uniform(x0 + 0.1, x1 - 0.1), y0 + off * Q)
+            f = poly_from_roots(roots, random_lead(rng))
+            high[type(self.assert_same(boundary(region), f, Q))] += 1
+        assert high[Normal] >= 6 and high[SingularError] >= 2
 
     def test_boundary_cases_agree(self):
         # Images 5 and 5j lie two sectors apart, with equal moduli; the
