@@ -215,7 +215,7 @@ def _result_json(
     if stats is not None:
         lines.append(
             f'  "stats": {{"pe": {stats.pe}, "max_level": {stats.max_level}, '
-            f'"boxes": {stats.boxes}, "budget": {_fmt(stats.budget)}, '
+            f'"boxes": {len(boxes)}, "budget": {_fmt(stats.budget)}, '
             f'"seconds": {_fmt(seconds if seconds is not None else 0.0)}}}'
         )
     lines.append("}")

@@ -97,7 +97,6 @@ class RdpStats:
 
     pe: int = 0
     max_level: int = 0
-    boxes: int = 0
     budget: float = 0.0
     visited: list[tuple[int, ConvexRegion]] = field(default_factory=list)
     ipsr_calls: list[tuple[float, float, int]] = field(default_factory=list)
@@ -350,5 +349,4 @@ def rdp(
 
     boxes.sort(key=_center)
     stats.pe = ctr.evaluations
-    stats.boxes = len(boxes)
     return boxes, stats

@@ -1,6 +1,6 @@
 """Winding numbers of closed curves by adaptive insertion of samples.
 
-Three refinement procedures operate on a sample array of a closed curve:
+Three refinement procedures insert samples into a closed curve:
 
 * ``ip`` refines until consecutive images are sector-connected and no
   gap is wide enough to hide a lost turn; it terminates only on curves
@@ -15,15 +15,15 @@ Three refinement procedures operate on a sample array of a closed curve:
   boundary).
 
 ``ips`` runs the paper's scan ``_refine`` over a ``SampleArray``.
-``ipsr`` runs the same refinement as one loop, depth first per initial
-pair: whether a pair is split depends only on its two endpoints, and
-after a split the scan rechecks the unchanged left neighbour and then
-takes the split pair's left half, so it visits pairs in exactly the
-depth-first order.  Insertions, error exits, evaluated points and the
-count are therefore the same as the scan's, without a list insertion
-or a predicate call per pair; the tests keep the scan as the reference.
-|f'| is evaluated at most once per left sample per ``ipsr`` call and is
-not metered.
+``ipsr`` samples its parameters itself and runs the same refinement as
+one loop, depth first per initial pair: whether a pair is split depends
+only on its two endpoints, and after a split the scan rechecks the
+unchanged left neighbour and then takes the split pair's left half, so
+it visits pairs in exactly the depth-first order.  Insertions, error
+exits, evaluated points and the count are therefore the same as the
+scan's, without a sample array or a predicate call per pair; the tests
+keep the scan as the reference.  |f'| is evaluated at most once per
+left sample per ``ipsr`` call and is not metered.
 """
 
 from __future__ import annotations
@@ -51,6 +51,19 @@ __all__ = [
 ]
 
 
+def _checked_params(params) -> list[float]:
+    """``params`` as floats; refused unless they start at 0 and strictly increase."""
+    params = [float(t) for t in params]
+    if len(params) < 2:
+        raise ValueError("a sample array needs at least both endpoints")
+    if params[0] != 0.0:
+        raise ValueError("first parameter must be 0")
+    for a, b in zip(params, params[1:]):
+        if not a < b:
+            raise ValueError("parameters must be strictly increasing")
+    return params
+
+
 class SampleArray:
     """Samples of a closed curve at strictly increasing parameters.
 
@@ -67,15 +80,7 @@ class SampleArray:
     __slots__ = ("params", "points", "images", "insertions", "_sampler", "_sectors")
 
     def __init__(self, params, sampler):
-        params = [float(t) for t in params]
-        if len(params) < 2:
-            raise ValueError("a sample array needs at least both endpoints")
-        if params[0] != 0.0:
-            raise ValueError("first parameter must be 0")
-        for a, b in zip(params, params[1:]):
-            if not a < b:
-                raise ValueError("parameters must be strictly increasing")
-        self.params = params
+        self.params = params = _checked_params(params)
         self._sampler = sampler
         self.points: list[complex] = []
         self.images: list[complex] = []
@@ -131,11 +136,10 @@ class SampleArray:
 
 @dataclass(frozen=True)
 class Normal:
-    """Successful outcome: a refined array and the winding index it certifies."""
+    """Successful outcome: the winding index and the insertions that certified it."""
 
-    array: SampleArray
     index: int
-    insertions: int = 0
+    insertions: int
 
 
 @dataclass(frozen=True)
@@ -282,7 +286,7 @@ def ips(delta, L: float, s0: list[float], Q: float) -> WindingOutcome:
     err = _refine(S, lambda i: pred_p(S, i) or pred_q(S, i, L), Q, guarantee)
     if err is not None:
         return err
-    return Normal(S, net_crossings(S.sectors()), S.insertions)
+    return Normal(net_crossings(S.sectors()), S.insertions)
 
 
 def ipsr(
@@ -309,34 +313,30 @@ def ipsr(
     docstring), so every insertion, error exit and evaluated point is
     the scan's.  The loop keeps one left sample and a stack of right
     endpoints, classifies each sample's sector once, adds each clean
-    pair's 7->0 / 0->7 crossing to the index as it goes, and on Normal
-    returns the final samples as the array without resampling.  All
+    pair's 7->0 / 0->7 crossing to the index as it goes, and keeps no
+    final samples: callers read only the count and the insertions.  All
     evaluations of f go through ``ctr``; |f'| is evaluated at most once
     per left sample per call and is not metered.
     """
     if Q <= 0:
         raise ValueError("Q must be positive")
     df = derivative(f)
-
-    def sample(t: float) -> tuple[complex, complex]:
-        p = curve(t)
-        return p, eval(f, p, ctr)
-
-    S = SampleArray(s0, sample)
-    guarantee = math.sqrt(2.0) / (4.0 * Q)
-    for j, w in enumerate(S.images):
-        if w == 0:
-            return SingularError(S.params[j], guarantee, S.insertions)
-
+    ts = _checked_params(s0)
     # The name lookups stay global, once per call, so that wrappers
     # installed on this module's ``eval`` and ``sector_of`` see every call.
     feval, sector = eval, sector_of
-    ts, ps, ws = S.params, S.points, S.images
+    # As in the scan, every initial sample is evaluated before the zero check.
+    ps = [curve(t) for t in ts]
+    ws = [feval(f, p, ctr) for p in ps]
+    guarantee = math.sqrt(2.0) / (4.0 * Q)
+    for t, w in zip(ts, ws):
+        if w == 0:
+            return SingularError(t, guarantee, 0)
+
     # The left sample (t, point, image, sector, |image|) and |f'(point)|,
     # evaluated the first time the width test needs it.
     ta, pa, wa = ts[0], ps[0], ws[0]
     ka, ma, da = sector(wa), abs(wa), None
-    params, points, images, sectors = [ta], [pa], [wa], [ka]  # the final samples
     index = insertions = 0
     for j in range(1, len(ts)):
         tb, pb, wb = ts[j], ps[j], ws[j]
@@ -354,10 +354,6 @@ def ipsr(
                     index += 1
                 elif ka == 0 and kb == 7:
                     index -= 1
-                params.append(tb)
-                points.append(pb)
-                images.append(wb)
-                sectors.append(kb)
                 ta, pa, wa, ka, ma, da = tb, pb, wb, kb, mb, None
                 if not stack:
                     break
@@ -379,9 +375,7 @@ def ipsr(
                 return SingularError(ta if ma <= mb else tb, guarantee, insertions)
             stack.append((tb, pb, wb, kb, mb))
             tb, pb, wb, kb, mb = mid, pm, wm, sector(wm), abs(wm)
-    S.params, S.points, S.images, S._sectors = params, points, images, sectors
-    S.insertions = insertions
-    return Normal(S, index, insertions)
+    return Normal(index, insertions)
 
 
 def initial_samples(curve: BoundaryCurve) -> list[float]:

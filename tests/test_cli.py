@@ -361,6 +361,55 @@ class TestSvg:
         assert float(root.get("height")) > 0
 
 
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+def golden(name: str) -> str:
+    """A recorded output, or "" for a run that writes nothing there."""
+    if name is None:
+        return ""
+    with open(os.path.join(GOLDEN, name), encoding="utf-8", newline="") as handle:
+        return handle.read()
+
+
+def strip_seconds(s: str) -> str:
+    return re.sub(r'"seconds": [^}]+', '"seconds": X', s)
+
+
+class TestGoldenOutput:
+    """Runs whose stdout (``seconds`` aside), stderr and exit code are recorded byte for byte."""
+
+    @pytest.mark.parametrize(
+        "argv, code, stdout, stderr",
+        [
+            (CUBE_ARGS + ["--stats"], 0, "cube_1e-3_stats.stdout", None),
+            (CUBE_ARGS[:-1] + ["1e-8", "--stats"], 0, "cube_1e-8_stats.stdout", None),
+            (
+                ["--poly", "z^3+1", "--rect", "5", "5", "6", "6", "--accuracy", "1e-3", "--stats"],
+                0,
+                "rootless_stats.stdout",
+                None,
+            ),
+            (
+                ["--poly", "z-1", "--rect", "1", "-1", "3", "1", "--accuracy", "1e-3"],
+                2,
+                None,
+                "singular.stderr",
+            ),
+        ],
+        ids=["cube-1e-3", "cube-1e-8", "rootless", "singular"],
+    )
+    def test_run_matches_recording(self, argv, code, stdout, stderr):
+        got_code, out, err = run_cli(argv)
+        assert (got_code, strip_seconds(out), err) == (code, golden(stdout), golden(stderr))
+
+    def test_svg_matches_recording(self, tmp_path):
+        # This run accepts shifted cut lines, so their offsets are drawn too.
+        path = tmp_path / "cube.svg"
+        assert run_cli(CUBE_ARGS + ["--svg", str(path)])[0] == 0
+        assert path.read_bytes() == golden("cube_1e-3.svg").encode("utf-8")
+
+
 class TestBadInvocations:
     def test_missing_polynomial(self):
         code, _, err = run_cli(["--rect", "0", "0", "1", "1", "--accuracy", "1e-3"])

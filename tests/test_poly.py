@@ -7,7 +7,7 @@ import random
 import pytest
 
 from windroot import Polynomial, derivative, eval, lipschitz_bound
-from windroot.poly import EvalCounter
+from windroot.poly import EvalCounter, _horner, _horner_floor
 
 from support import poly_from_roots, random_lead, random_roots, rect
 
@@ -120,6 +120,25 @@ class TestDerivative:
             quotient = (eval(f, z + h) - eval(f, z - h)) / (2 * h)
             exact = eval(df, z)
             assert abs(exact - quotient) <= 1e-4 * (1 + abs(exact))
+
+
+class TestHornerFloor:
+    def test_overflow_reads_inf(self):
+        # A complex accumulator gave (inf+0j)*r an imaginary part of NaN,
+        # so the floor read NaN and a test |f| <= floor silently failed.
+        assert _horner_floor((1.0,) * 61, 1e6) == math.inf
+
+    def test_finite_sums_match_the_complex_horner_loop(self):
+        rng = random.Random(61)
+        for _ in range(200):
+            abs_coeffs = tuple(
+                abs(rng.gauss(0, 1)) * 10 ** rng.uniform(-5, 5)
+                for _ in range(rng.randint(2, 40))
+            )
+            r = 10 ** rng.uniform(-3, 3)
+            old = 4.0 * (len(abs_coeffs) - 1) * math.ulp(abs(_horner(abs_coeffs, r)))
+            if math.isfinite(old):
+                assert _horner_floor(abs_coeffs, r) == old
 
 
 class TestLipschitzBound:
