@@ -7,7 +7,9 @@ smaller than the requested accuracy.  Cut lines are shifted away from
 the midline in fixed trial steps whenever a root sits close enough to
 make the boundary winding test fail, so every accepted piece has a
 certified count.  All polynomial evaluations go through one shared memo
-counter, which the closed-form evaluation budgets refer to.
+counter, which the closed-form evaluation budgets refer to; it also
+memoizes |f'| for the boundary tests of the current and the previous
+level, and the driver ages that window after each level.
 """
 
 from __future__ import annotations
@@ -276,7 +278,8 @@ def rdp(
     too close to the border; SubdivisionFailedError when no trial line
     cuts a region or the depth limit is reached; and the internal
     failures CountMismatchError (n0 outside [0, n], or cut parts that
-    do not account for a region's roots) and NonTerminationError.
+    do not account for a region's roots or count fewer than none) and
+    NonTerminationError.
     """
     n = f.degree
     if n < 1:
@@ -334,6 +337,11 @@ def rdp(
                     f"but the region holds {cnt} "
                     f"(level {level}, region envelope {envelope(reg)})"
                 )
+            if min(counts) < 0:
+                raise CountMismatchError(
+                    f"a cut part counts {min(counts)} roots "
+                    f"(level {level}, region envelope {envelope(reg)})"
+                )
             for part, c in zip(parts, counts):
                 if part.is_empty:
                     continue
@@ -342,6 +350,7 @@ def rdp(
                 next_frontier.append((part, c))
         frontier = next_frontier
         level += 1
+        ctr.next_level()
 
     def _center(box: RootBox) -> tuple[float, float]:
         x0, y0, x1, y1 = envelope(box.region)

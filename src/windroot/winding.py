@@ -22,8 +22,11 @@ unchanged left neighbour and then takes the split pair's left half, so
 it visits pairs in exactly the depth-first order.  Insertions, error
 exits, evaluated points and the count are therefore the same as the
 scan's, without a sample array or a predicate call per pair; the tests
-keep the scan as the reference.  |f'| is evaluated at most once per
-left sample per ``ipsr`` call and is not metered.
+keep the scan as the reference.  |f'| is read from the counter's
+two-level memo (see ``EvalCounter``) and evaluated only on a miss, so a
+boundary point shared with a test of the same or the previous level
+costs no derivative evaluation; the memoized value is exactly the one a
+fresh evaluation gives, and derivative evaluations are not metered.
 """
 
 from __future__ import annotations
@@ -315,8 +318,12 @@ def ipsr(
     endpoints, classifies each sample's sector once, adds each clean
     pair's 7->0 / 0->7 crossing to the index as it goes, and keeps no
     final samples: callers read only the count and the insertions.  All
-    evaluations of f go through ``ctr``; |f'| is evaluated at most once
-    per left sample per call and is not metered.
+    evaluations of f go through ``ctr``.  |f'| at a left sample is read
+    from ``ctr.slopes``, then from ``ctr.previous_slopes`` (a hit there
+    moves into ``slopes``), and only on a miss evaluated through the
+    module-global ``eval`` and stored.  The stored value is that
+    evaluation itself, so every width decision is the one a fresh
+    evaluation gives.  Derivative evaluations are not metered.
     """
     if Q <= 0:
         raise ValueError("Q must be positive")
@@ -325,6 +332,7 @@ def ipsr(
     # The name lookups stay global, once per call, so that wrappers
     # installed on this module's ``eval`` and ``sector_of`` see every call.
     feval, sector = eval, sector_of
+    slopes, previous_slopes = ctr.slopes, ctr.previous_slopes
     # As in the scan, every initial sample is evaluated before the zero check.
     ps = [curve(t) for t in ts]
     ws = [feval(f, p, ctr) for p in ps]
@@ -334,7 +342,7 @@ def ipsr(
             return SingularError(t, guarantee, 0)
 
     # The left sample (t, point, image, sector, |image|) and |f'(point)|,
-    # evaluated the first time the width test needs it.
+    # looked up the first time the width test needs it.
     ta, pa, wa = ts[0], ps[0], ws[0]
     ka, ma, da = sector(wa), abs(wa), None
     index = insertions = 0
@@ -345,7 +353,12 @@ def ipsr(
         while True:
             if (ka - kb) % 8 in (0, 1, 7):
                 if da is None:
-                    da = abs(feval(df, pa))
+                    da = slopes.get(pa)
+                    if da is None:
+                        da = previous_slopes.pop(pa, None)
+                        if da is None:
+                            da = abs(feval(df, pa))
+                        slopes[pa] = da
                 failing = ma + mb <= 2.0 * da * (tb - ta) + abs(wb - wa)
             else:
                 failing = True

@@ -23,6 +23,7 @@ from windroot import (
     RootBox,
 )
 from windroot.cli import _ParseError, _verify_boxes, main, parse_poly_shorthand
+from windroot.geometry import diam_rect, envelope
 
 from support import poly_from_roots
 
@@ -178,6 +179,41 @@ class TestRuns:
         assert err == (
             "windroot: internal solver failure: cut parts account for 4 roots "
             "but the region holds 3 (level 0, region envelope (-2.0, -2.0, 2.0, 2.0))\n"
+        )
+
+    @pytest.mark.parametrize("below_accuracy", [False, True])
+    def test_negative_part_count_exits_four_naming_level_and_envelope(
+        self, monkeypatch, below_accuracy
+    ):
+        # A wrapped division moves one root from a part that holds none
+        # to another, so the counts keep their sum but one reads -1.  On
+        # pieces below the accuracy that used to reach RootBox and exit 1
+        # (bad input); on larger pieces it failed a level late, as
+        # "region holds -1".
+        rdp_module = importlib.import_module("windroot.rdp")
+        divide = rdp_module.divide
+        swapped = []
+
+        def swap(region, f, cfg, ctr, stats):
+            parts, counts = divide(region, f, cfg, ctr, stats)
+            small = all(p.is_empty or diam_rect(p) < cfg.accuracy for p in parts)
+            if swapped or small != below_accuracy or 0 not in counts:
+                return parts, counts
+            swapped.append(region)
+            moved = list(counts)
+            moved[counts.index(max(counts))] += 1
+            moved[counts.index(0)] -= 1
+            return parts, tuple(moved)
+
+        monkeypatch.setattr(rdp_module, "divide", swap)
+        code, out, err = run_cli(CUBE_ARGS)
+        assert code == 4
+        assert out == ""
+        level = r"\d+" if below_accuracy else "0"
+        assert re.fullmatch(
+            r"windroot: internal solver failure: a cut part counts -1 roots "
+            rf"\(level {level}, region envelope {re.escape(str(envelope(swapped[0])))}\)\n",
+            err,
         )
 
     def test_accuracy_below_float_resolution_refused_up_front(self, monkeypatch):

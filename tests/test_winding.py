@@ -1,6 +1,7 @@
 """Insertion procedures: predicates, refinement, and singularity control."""
 
 import cmath
+import importlib
 import math
 import random
 
@@ -15,6 +16,7 @@ from windroot import (
     SingularPointError,
     boundary,
     choose_q,
+    cut,
     divide,
     envelope,
     initial_samples,
@@ -288,6 +290,38 @@ class TestIpsr:
         # The closure revisits the start point; every other sample is new.
         assert ctr.evaluations == len(initial_samples(curve)) - 1 + out.insertions
 
+    def test_slope_memo_spans_two_levels(self, monkeypatch):
+        # Derivative evaluations are the module's unmetered ``eval`` calls.
+        winding_module = importlib.import_module("windroot.winding")
+        original = winding_module.eval
+        slope_evals = []
+
+        def counting(f, z, ctr=None):
+            if ctr is None:
+                slope_evals.append(z)
+            return original(f, z, ctr)
+
+        monkeypatch.setattr(winding_module, "eval", counting)
+        f = Polynomial((1, 0, 0, 1))
+        curve = boundary(rect(-2, -2, 2, 2))
+        ctr = EvalCounter()
+
+        def rerun():
+            slope_evals.clear()
+            return ipsr(curve, f, initial_samples(curve), 1e-3, ctr)
+
+        first = rerun()
+        assert isinstance(first, Normal)
+        cold = len(slope_evals)
+        assert cold == len(ctr.slopes) > 0
+        assert rerun() == first and slope_evals == []
+        ctr.next_level()  # the previous level still serves, and moves up
+        assert rerun() == first and slope_evals == []
+        assert len(ctr.slopes) == cold and ctr.previous_slopes == {}
+        ctr.next_level()
+        ctr.next_level()
+        assert rerun() == first and len(slope_evals) == cold
+
     def test_zero_image_at_initial_sample(self):
         out, _, _ = self.run(Polynomial((-0.5, 1)), rect(0, 0, 1, 1))
         assert isinstance(out, SingularError)
@@ -341,8 +375,20 @@ def ipsr_scan(curve, f, s0, Q, ctr):
     return refined_scan(curve, f, s0, Q, ctr)[1]
 
 
-def outcome_and_meter(procedure, curve, f, Q, s0=None):
+def warmed_counter(f, Q, warm=None):
+    """A fresh counter, or with ``warm = (curve, aged)`` one that has run
+    ``ipsr`` on that curve and, if ``aged``, then moved to the next level."""
     ctr = EvalCounter()
+    if warm is not None:
+        curve, aged = warm
+        ipsr(curve, f, initial_samples(curve), Q, ctr)
+        if aged:
+            ctr.next_level()
+    return ctr
+
+
+def outcome_and_meter(procedure, curve, f, Q, s0=None, warm=None):
+    ctr = warmed_counter(f, Q, warm)
     try:
         out = procedure(curve, f, s0 or initial_samples(curve), Q, ctr)
     except NonTerminationError as exc:
@@ -353,9 +399,9 @@ def outcome_and_meter(procedure, curve, f, Q, s0=None):
 class TestIpsrMatchesScan:
     """The depth-first loop of ``ipsr`` against the reference scan."""
 
-    def assert_same(self, curve, f, Q, s0=None):
-        got, got_ctr = outcome_and_meter(ipsr, curve, f, Q, s0)
-        want, want_ctr = outcome_and_meter(ipsr_scan, curve, f, Q, s0)
+    def assert_same(self, curve, f, Q, s0=None, warm=None):
+        got, got_ctr = outcome_and_meter(ipsr, curve, f, Q, s0, warm)
+        want, want_ctr = outcome_and_meter(ipsr_scan, curve, f, Q, s0, warm)
         assert type(got) is type(want)
         if isinstance(want, Normal):
             assert got.index == want.index
@@ -416,6 +462,32 @@ class TestIpsrMatchesScan:
             f = poly_from_roots(roots, random_lead(rng))
             high[type(self.assert_same(boundary(region), f, Q))] += 1
         assert high[Normal] >= 6 and high[SingularError] >= 2
+
+    def test_warmed_counter_agrees(self):
+        # A cut part shares boundary points with its parent, so its test
+        # reads |f'| that the parent's test memoized, in the current level
+        # or, after ``next_level``, the previous one.
+        rng = random.Random(3037)
+        kinds = {Normal: 0, SingularError: 0}
+        misses = cold = 0
+        for k in range(16):
+            roots = random_roots(rng, rng.randint(2, 12), min_sep=0.1)
+            region = random_rect_clear_of(rng, roots, margin=0.05)
+            Q = 10 ** rng.uniform(-3.5, -2)
+            f = poly_from_roots(roots, random_lead(rng))
+            parent = boundary(region)
+            for part in cut(region, "vertical" if k % 2 else "horizontal", 0.0):
+                curve = boundary(part)
+                warm = (parent, k % 4 >= 2)
+                kinds[type(self.assert_same(curve, f, Q, warm=warm))] += 1
+                # Keys never sit in both dicts, so the memo grows by the misses.
+                ctr = warmed_counter(f, Q, warm)
+                held = len(ctr.slopes) + len(ctr.previous_slopes)
+                ipsr(curve, f, initial_samples(curve), Q, ctr)
+                misses += len(ctr.slopes) + len(ctr.previous_slopes) - held
+                cold += len(outcome_and_meter(ipsr, curve, f, Q)[1].slopes)
+        assert kinds[Normal] >= 24
+        assert misses < 0.8 * cold
 
     def test_boundary_cases_agree(self):
         # Images 5 and 5j lie two sectors apart, with equal moduli; the
