@@ -309,7 +309,7 @@ def _verify_boxes(
     box (or the region, for the total) and those that may be; see
     ``oracle.count_bounds``.
     """
-    # Imported here so that only --verify pays for numpy, which oracle needs.
+    # Imported here so that a run without --verify loads no reference code.
     from .oracle import count_bounds, roots_reference
 
     try:

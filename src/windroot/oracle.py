@@ -5,7 +5,9 @@ different algorithm: roots come from simultaneous Newton-style
 iteration rather than subdivision, winding numbers from dense argument
 accumulation rather than sector crossings, and distances/condition
 numbers from direct geometry on the reference roots.  Used by the test
-suite and the CLI's --verify flag; never by the solver itself.
+suite and the CLI's --verify flag; never by the solver itself.  Plain
+Python like the rest of the package: the vectorized |f| sampler that the
+tests hold against ``dist_origin_curve`` lives with the tests.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import NoConvergenceError, SingularSuspectedError
 from .geometry import BoundaryCurve, ConvexRegion, contains
@@ -28,7 +28,6 @@ __all__ = [
     "condition_number",
     "dist_set_curve",
     "dist_origin_curve",
-    "min_image_modulus",
 ]
 
 _CLUSTER_RADIUS = 1e-7
@@ -356,30 +355,6 @@ def dist_origin_curve(delta, per: float | None = None) -> float:
     m = _SAMPLES
     while True:
         current = min(abs(complex(delta(per * k / m))) for k in range(m))
-        if prev is not None and abs(current - prev) <= _RTOL * max(current, prev):
-            return min(current, prev)
-        if m >= _MAX_WINDING_SAMPLES:
-            return current if prev is None else min(current, prev)
-        prev = current
-        m *= 2
-
-
-def min_image_modulus(f: Polynomial, curve: BoundaryCurve) -> float:
-    """Minimum of |f| along a polygon boundary, vectorized dense sampling.
-
-    Same refinement contract as ``dist_origin_curve`` but evaluates the
-    polynomial on the whole sample grid at once.
-    """
-    cum = np.asarray(curve.vertex_params)
-    pts = np.asarray(curve.points)
-    xs, ys = pts.real, pts.imag
-    per = curve.perimeter
-    prev: float | None = None
-    m = _SAMPLES
-    while True:
-        ts = np.linspace(0.0, per, m, endpoint=False)
-        zs = np.interp(ts, cum, xs) + 1j * np.interp(ts, cum, ys)
-        current = float(np.abs(np.polynomial.polynomial.polyval(zs, f.coeffs)).min())
         if prev is not None and abs(current - prev) <= _RTOL * max(current, prev):
             return min(current, prev)
         if m >= _MAX_WINDING_SAMPLES:

@@ -100,12 +100,17 @@ def _horner(coeffs: tuple[complex, ...], z: complex) -> complex:
     return acc
 
 
-def _horner_floor(abs_coeffs: tuple[float, ...], r: float) -> float:
-    """Horner's rounding floor 4*n*ulp(sum |a_k| r^k) for |f(z)| at |z| = r."""
+def _majorant(abs_coeffs: tuple[float, ...], r: float) -> float:
+    """sum |a_k| r^k, which bounds |f(z)| and its Horner partial sums at |z| <= r."""
     acc = 0.0  # real, so an overflow reads inf: (inf+0j)*r has a NaN part
     for c in reversed(abs_coeffs):
         acc = acc * r + c
-    return 4.0 * (len(abs_coeffs) - 1) * math.ulp(acc)
+    return acc
+
+
+def _horner_floor(abs_coeffs: tuple[float, ...], r: float) -> float:
+    """Horner's rounding floor 4*n*ulp(sum |a_k| r^k) for |f(z)| at |z| = r."""
+    return 4.0 * (len(abs_coeffs) - 1) * math.ulp(_majorant(abs_coeffs, r))
 
 
 def eval(f: Polynomial, z: complex, ctr: EvalCounter | None = None) -> complex:

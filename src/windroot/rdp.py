@@ -32,7 +32,7 @@ from .geometry import (
     diam_rect,
     envelope,
 )
-from .poly import EvalCounter, Polynomial, _horner
+from .poly import EvalCounter, Polynomial, _majorant
 from .winding import Normal, SingularError, initial_samples, ipsr
 
 __all__ = [
@@ -252,7 +252,7 @@ def _check_range(f: Polynomial, region: ConvexRegion) -> None:
     section 5.1), and the same factor covers the rounding of S itself.
     """
     r = max(max(abs(v) for v in region.vertices), 1.0)
-    bound = f.degree * abs(_horner(tuple(abs(c) for c in f.coeffs), r))
+    bound = f.degree * _majorant(tuple(abs(c) for c in f.coeffs), r)
     if not math.isfinite(4.0 * bound):
         raise ValueError(
             "polynomial values overflow double precision on the region "

@@ -1,4 +1,4 @@
-"""Seeded generators and small checks shared across the test suite."""
+"""Seeded generators, small checks and a dense sampler shared across the test suite."""
 
 from __future__ import annotations
 
@@ -6,8 +6,10 @@ import cmath
 import math
 import random
 
-from windroot import ConvexRegion, Polynomial, boundary, contains
-from windroot.oracle import RootList, dist_set_curve
+import numpy as np
+
+from windroot import BoundaryCurve, ConvexRegion, Polynomial, boundary, contains
+from windroot.oracle import _MAX_WINDING_SAMPLES, _RTOL, _SAMPLES, RootList, dist_set_curve
 
 
 def poly_from_roots(roots, lead: complex = 1 + 0j) -> Polynomial:
@@ -92,3 +94,27 @@ def inside_count(roots, region: ConvexRegion) -> int:
 def le_rel(a: float, b: float, rtol: float = 1e-12) -> bool:
     """a <= b up to relative slack on the larger magnitude."""
     return a <= b + rtol * max(abs(a), abs(b))
+
+
+def min_image_modulus(f: Polynomial, curve: BoundaryCurve) -> float:
+    """Minimum of |f| along a polygon boundary, vectorized dense sampling.
+
+    Same refinement contract as ``dist_origin_curve`` but evaluates the
+    polynomial on the whole sample grid at once.
+    """
+    cum = np.asarray(curve.vertex_params)
+    pts = np.asarray(curve.points)
+    xs, ys = pts.real, pts.imag
+    per = curve.perimeter
+    prev: float | None = None
+    m = _SAMPLES
+    while True:
+        ts = np.linspace(0.0, per, m, endpoint=False)
+        zs = np.interp(ts, cum, xs) + 1j * np.interp(ts, cum, ys)
+        current = float(np.abs(np.polynomial.polynomial.polyval(zs, f.coeffs)).min())
+        if prev is not None and abs(current - prev) <= _RTOL * max(current, prev):
+            return min(current, prev)
+        if m >= _MAX_WINDING_SAMPLES:
+            return current if prev is None else min(current, prev)
+        prev = current
+        m *= 2

@@ -36,7 +36,6 @@ from windroot.oracle import (
     RootList,
     condition_number,
     dist_set_curve,
-    min_image_modulus,
     roots_reference,
 )
 from windroot.poly import EvalCounter
@@ -44,6 +43,7 @@ from windroot.poly import EvalCounter
 from support import (
     inside_count,
     le_rel,
+    min_image_modulus,
     poly_from_roots,
     random_convex_polygon,
     random_instance,

@@ -142,7 +142,7 @@ class TestRuns:
         return done.returncode
 
     def test_import_leaves_numpy_out(self):
-        # Only --verify needs numpy and only --svg needs ElementTree; a run
+        # No module imports numpy and only --svg needs ElementTree; a run
         # reports through its result and --stats, so no logging either.
         code = (
             "import sys, windroot.cli\n"
@@ -151,12 +151,20 @@ class TestRuns:
         )
         assert self.fresh_python(code) == 0
 
-    def test_solve_leaves_numpy_out(self):
+    @pytest.mark.parametrize(
+        "extra, stderr",
+        [([], ""), (["--verify"], "verify: ok — 3 boxes account for all 3 roots\n")],
+        ids=["solve", "verify"],
+    )
+    def test_solve_leaves_numpy_out(self, extra, stderr):
         code = (
             "import io, sys, contextlib, windroot.cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    rc = windroot.cli.main({CUBE_ARGS!r})\n"
-            "sys.exit(10 + rc if rc else 'numpy' in sys.modules)"
+            "err = io.StringIO()\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
+            f"    rc = windroot.cli.main({CUBE_ARGS + extra!r})\n"
+            "assert rc == 0, rc\n"
+            f"assert err.getvalue() == {stderr!r}, err.getvalue()\n"
+            "assert 'numpy' not in sys.modules\n"
         )
         assert self.fresh_python(code) == 0
 

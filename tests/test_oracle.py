@@ -15,12 +15,11 @@ from windroot.oracle import (
     count_bounds,
     dist_origin_curve,
     dist_set_curve,
-    min_image_modulus,
     roots_reference,
     winding_brute,
 )
 
-from support import inside_count, poly_from_roots, random_lead, random_roots, random_rect_clear_of, rect
+from support import inside_count, min_image_modulus, poly_from_roots, random_lead, random_roots, random_rect_clear_of, rect
 
 
 def ngon(radius: float, center: complex = 0j, k: int = 64) -> ConvexRegion:

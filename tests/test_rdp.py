@@ -1,6 +1,8 @@
 """Recursive subdivision: guard width, budgets, cutting, and full runs."""
 
+import cmath
 import dataclasses
+import importlib
 import math
 import random
 
@@ -10,6 +12,7 @@ from windroot import (
     AccuracyBelowResolutionError,
     ConvexRegion,
     InitialRegionSingularError,
+    Normal,
     Polynomial,
     WindrootError,
     choose_q,
@@ -24,7 +27,7 @@ from windroot.geometry import EMPTY, SIN_PI_8, diam_rect
 from windroot.poly import EvalCounter
 from windroot.rdp import RdpConfig, RdpStats, RootBox
 
-from support import le_rel, poly_from_roots, random_lead, random_roots, rect
+from support import inside_count, le_rel, poly_from_roots, random_lead, random_roots, rect
 
 
 CUBE = Polynomial((1, 0, 0, 1))  # z^3 + 1
@@ -192,6 +195,33 @@ class TestRdp:
         assert contains(boxes[0].region, c)
         assert diam_rect(boxes[0].region) < 1e-3
         assert stats.pe == 825
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: ipsr miscounts cut parts of z^n-1 by one; "
+        "divide discards those counts, so the run still exits 0",
+    )
+    def test_every_part_count_of_roots_of_unity_is_exact(self, monkeypatch):
+        # For n = 36 the top half [-0.015, 1.0275] x [0.52, 1.05] counts 7
+        # and holds 6.
+        rdp_module = importlib.import_module("windroot.rdp")
+        boundary_test = rdp_module.ipsr
+        wrong = []
+        for n in (36, 41, 53):
+            roots = [cmath.exp(2j * math.pi * k / n) for k in range(n)]
+
+            def checked(curve, f, s0, q, ctr):
+                out = boundary_test(curve, f, s0, q, ctr)
+                held = inside_count(roots, curve.region)
+                if isinstance(out, Normal) and out.index != held:
+                    wrong.append((n, envelope(curve.region), out.index, held))
+                return out
+
+            monkeypatch.setattr(rdp_module, "ipsr", checked)
+            f = Polynomial((-1,) + (0,) * (n - 1) + (1,))
+            boxes, _ = rdp(rect(-2.1, -2.13, 2.07, 2.11), f, 1e-3)
+            assert sum(b.count for b in boxes) == n
+        assert wrong == []
 
     def test_boundary_root_rejected_up_front(self):
         f = Polynomial((0.25, -1, 1))  # (z - 1/2)^2, root on the border

@@ -322,6 +322,21 @@ class TestIpsr:
         ctr.next_level()
         assert rerun() == first and len(slope_evals) == cold
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: the width test scales by |f'| at one point, "
+        "which misses the root pair on a long thin edge at degree 3",
+    )
+    def test_degree_three_count_on_a_long_thin_rectangle(self):
+        # Two roots lie inside, the nearest 0.036 (about 5e4 guard widths)
+        # from the border; rdp on this input at 1e-3 exits 4.
+        roots = [5.62 + 0.05j, 5.76 - 0.0757j, 8.47 + 0.0637j]
+        f = poly_from_roots(roots)
+        curve = boundary(rect(0, 0, 10, 0.1))
+        assert winding_brute(lambda t: peval(f, curve(t)), per=curve.perimeter) == 2
+        out = ipsr(curve, f, initial_samples(curve), choose_q(1e-4, 3, 3), EvalCounter())
+        assert isinstance(out, Normal) and out.index == 2
+
     def test_zero_image_at_initial_sample(self):
         out, _, _ = self.run(Polynomial((-0.5, 1)), rect(0, 0, 1, 1))
         assert isinstance(out, SingularError)
