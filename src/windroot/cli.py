@@ -6,11 +6,11 @@ prints the root boxes as JSON with 17-significant-digit floats.  An
 optional SVG renders the subdivision tree and the boxes.  Exit codes: 0
 success, 1 bad request (an accuracy below the region's float resolution,
 or a polynomial whose values could overflow on the region, is refused
-before any work) or a ``--verify`` disagreement, 2 root too
-close to the initial boundary, 3 no root-free cut line, 4 internal
-solver failure (an initial count outside [0, degree], cut parts whose
-counts do not add up, or a boundary parameter gap below float
-resolution).
+before any work), an ``--svg`` path that cannot be written, or a
+``--verify`` disagreement, 2 root too close to the initial boundary, 3
+no root-free cut line, 4 internal solver failure (an initial count
+outside [0, degree], cut parts whose counts do not add up, or a
+boundary parameter gap below float resolution).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import json
 import re
 import sys
 import time
-from dataclasses import dataclass
 
 from .errors import (
     AccuracyBelowResolutionError,
@@ -34,7 +33,7 @@ from .geometry import ConvexRegion, envelope
 from .poly import Polynomial
 from .rdp import RdpStats, RootBox, rdp
 
-__all__ = ["RunRequest", "run", "main"]
+__all__ = ["main"]
 
 
 class _ParseError(Exception):
@@ -44,18 +43,6 @@ class _ParseError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); 2 means singular here
         raise _ParseError(message)
-
-
-@dataclass(frozen=True)
-class RunRequest:
-    """One fully resolved solver invocation."""
-
-    f: Polynomial
-    region: ConvexRegion
-    accuracy: float
-    svg: str | None
-    verify: bool
-    stats: bool
 
 
 _TERM_RE = re.compile(
@@ -168,9 +155,7 @@ def _read_file(path: str) -> str:
         raise _ParseError(f"cannot read {path}: {exc}") from exc
 
 
-def _build_request(ns: argparse.Namespace) -> RunRequest:
-    poly_text = ns.poly if ns.poly is not None else _read_file(ns.poly_file)
-    f = _parse_polynomial(poly_text)
+def _parse_region(ns: argparse.Namespace) -> ConvexRegion:
     if ns.rect is not None:
         region_data = {"rect": list(ns.rect)}
     else:
@@ -179,17 +164,9 @@ def _build_request(ns: argparse.Namespace) -> RunRequest:
         except json.JSONDecodeError as exc:
             raise _ParseError(f"malformed region JSON: {exc}") from exc
     try:
-        region = ConvexRegion.from_json(region_data)
+        return ConvexRegion.from_json(region_data)
     except ValueError as exc:
         raise _ParseError(str(exc)) from exc
-    return RunRequest(
-        f=f,
-        region=region,
-        accuracy=ns.accuracy,
-        svg=ns.svg,
-        verify=ns.verify,
-        stats=ns.stats,
-    )
 
 
 def _fmt(x: float) -> str:
@@ -237,9 +214,6 @@ def _svg_path(vertices, world, scale) -> str:
 def _write_svg(
     path: str, region: ConvexRegion, boxes: list[RootBox], stats: RdpStats
 ) -> None:
-    # Imported here so that only --svg pays for it.
-    from xml.etree import ElementTree as ET
-
     x0, y0, x1, y1 = envelope(region)
     margin = 0.05 * max(x1 - x0, y1 - y0)
     world = (x0 - margin, y0 - margin, x1 + margin, y1 + margin)
@@ -247,57 +221,29 @@ def _write_svg(
     scale = 800.0 / span
     width = (world[2] - world[0]) * scale
     height = (world[3] - world[1]) * scale
-    svg = ET.Element(
-        "svg",
-        {
-            "xmlns": "http://www.w3.org/2000/svg",
-            "width": f"{width:.0f}",
-            "height": f"{height:.0f}",
-            "viewBox": f"0 0 {width:.2f} {height:.2f}",
-        },
-    )
-    ET.SubElement(
-        svg,
-        "path",
-        {
-            "d": _svg_path(region.vertices, world, scale),
-            "fill": "none",
-            "stroke": "#13334c",
-            "stroke-width": "2.5",
-        },
-    )
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>\n',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
+        f'height="{height:.0f}" viewBox="0 0 {width:.2f} {height:.2f}">',
+        f'<path d="{_svg_path(region.vertices, world, scale)}" fill="none" '
+        'stroke="#13334c" stroke-width="2.5" />',
+    ]
     for level, sub in stats.visited:
         if level == 0:
             continue
-        ET.SubElement(
-            svg,
-            "path",
-            {
-                "d": _svg_path(sub.vertices, world, scale),
-                "fill": "none",
-                "stroke": "#8fa6b8",
-                "stroke-width": f"{max(0.2, 1.8 / (level + 1)):.2f}",
-            },
+        parts.append(
+            f'<path d="{_svg_path(sub.vertices, world, scale)}" fill="none" '
+            f'stroke="#8fa6b8" stroke-width="{max(0.2, 1.8 / (level + 1)):.2f}" />'
         )
     for box in boxes:
-        ET.SubElement(
-            svg,
-            "polygon",
-            {
-                "points": " ".join(
-                    _svg_point(v, world, scale) for v in box.region.vertices
-                ),
-                "fill": "#e4572e",
-                "fill-opacity": "0.9",
-                "stroke": "#7a1f0e",
-                "stroke-width": "0.6",
-            },
+        points = " ".join(_svg_point(v, world, scale) for v in box.region.vertices)
+        parts.append(
+            f'<polygon points="{points}" fill="#e4572e" fill-opacity="0.9" '
+            'stroke="#7a1f0e" stroke-width="0.6" />'
         )
-    document = ET.tostring(svg, encoding="unicode")
+    parts.append("</svg>\n")
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write('<?xml version="1.0" encoding="UTF-8"?>\n')
-        handle.write(document)
-        handle.write("\n")
+        handle.write("".join(parts))
 
 
 def _verify_boxes(
@@ -346,11 +292,20 @@ def _span(lo: int, hi: int) -> str:
     return str(lo) if lo == hi else f"{lo}..{hi}"
 
 
-def run(request: RunRequest) -> int:
-    """Execute one request; print JSON to stdout; return the exit code."""
+def main(argv=None) -> int:
+    """Run one command line; print JSON to stdout; return the exit code."""
+    try:
+        ns = _build_parser().parse_args(argv)
+        f = _parse_polynomial(
+            ns.poly if ns.poly is not None else _read_file(ns.poly_file)
+        )
+        region = _parse_region(ns)
+    except _ParseError as exc:
+        print(f"windroot: error: {exc}", file=sys.stderr)
+        return 1
     started = time.perf_counter()
     try:
-        boxes, stats = rdp(request.region, request.f, request.accuracy)
+        boxes, stats = rdp(region, f, ns.accuracy)
     except InitialRegionSingularError as exc:
         print(f"windroot: {exc}", file=sys.stderr)
         return 2
@@ -364,25 +319,16 @@ def run(request: RunRequest) -> int:
         print(f"windroot: {exc}", file=sys.stderr)
         return 1
     seconds = time.perf_counter() - started
-    sys.stdout.write(
-        _result_json(boxes, stats if request.stats else None, seconds) + "\n"
-    )
-    if request.svg is not None:
-        _write_svg(request.svg, request.region, boxes, stats)
-    if request.verify and not _verify_boxes(request.f, request.region, boxes):
+    sys.stdout.write(_result_json(boxes, stats if ns.stats else None, seconds) + "\n")
+    if ns.svg is not None:
+        try:
+            _write_svg(ns.svg, region, boxes, stats)
+        except OSError as exc:
+            print(f"windroot: cannot write {ns.svg}: {exc}", file=sys.stderr)
+            return 1
+    if ns.verify and not _verify_boxes(f, region, boxes):
         return 1
     return 0
-
-
-def main(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        ns = parser.parse_args(argv)
-        request = _build_request(ns)
-    except _ParseError as exc:
-        print(f"windroot: error: {exc}", file=sys.stderr)
-        return 1
-    return run(request)
 
 
 if __name__ == "__main__":

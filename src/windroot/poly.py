@@ -64,9 +64,12 @@ class EvalCounter:
 
     ``slopes`` and ``previous_slopes`` memoize |f'(z)| for the width test
     of ``winding.ipsr`` over a window of two subdivision levels: the
-    current one and the one before.  ``ipsr`` moves a hit in
-    ``previous_slopes`` into ``slopes``, and ``next_level`` ages the
-    window, dropping the older level.  Derivative evaluations are not
+    current one and the one before.  ``ipsr`` reads ``slopes``, then
+    ``previous_slopes`` (moving a hit there into ``slopes``), and on a
+    miss evaluates |f'| and stores it; ``rdp`` calls ``next_level``
+    after each level, which ages the window and drops the older level.
+    A stored value is the evaluation itself, so every width decision is
+    the one a fresh evaluation gives.  Derivative evaluations are not
     metered, so neither dict counts towards ``evaluations``.
 
     The window is not run-wide because nearly every repeated point
@@ -143,21 +146,16 @@ def derivative(f: Polynomial) -> Polynomial:
 
 
 def lipschitz_bound(f: Polynomial, region) -> float:
-    """A certified upper bound for sup |f'| over the boundary of ``region``.
+    """A certified upper bound for sup |f'| over ``region``.
 
-    Computed as sum_k k*|a_k|*R^(k-1) where R is the largest corner
-    modulus of the region's axis-aligned envelope: the triangle
-    inequality makes this dominate |f'(z)| on the whole disk |z| <= R,
-    which contains the region.  Any upper bound on the true supremum is
-    acceptable wherever a Lipschitz constant is consumed.
+    Computed as sum_k k*|a_k|*R^(k-1) where R is the largest vertex
+    modulus of the region, the radius ``rdp._check_range`` uses: |z| is
+    convex, so its maximum on a convex polygon is at a vertex, and the
+    triangle inequality makes the sum dominate |f'(z)| on the whole disk
+    |z| <= R, which contains the region.  Any upper bound on the true
+    supremum is acceptable wherever a Lipschitz constant is consumed.
     """
-    vertices = region.vertices
-    if not vertices:
+    if not region.vertices:
         raise ValueError("Lipschitz bound needs a nonempty region")
-    xs = [v.real for v in vertices]
-    ys = [v.imag for v in vertices]
-    corners = ((x, y) for x in (min(xs), max(xs)) for y in (min(ys), max(ys)))
-    radius = max(math.hypot(x, y) for x, y in corners)
-    return sum(
-        k * abs(c) * radius ** (k - 1) for k, c in enumerate(f.coeffs) if k >= 1
-    )
+    r = max(abs(v) for v in region.vertices)
+    return _majorant(tuple(k * abs(c) for k, c in enumerate(f.coeffs))[1:], r)

@@ -7,9 +7,8 @@ smaller than the requested accuracy.  Cut lines are shifted away from
 the midline in fixed trial steps whenever a root sits close enough to
 make the boundary winding test fail, so every accepted piece has a
 certified count.  All polynomial evaluations go through one shared memo
-counter, which the closed-form evaluation budgets refer to; it also
-memoizes |f'| for the boundary tests of the current and the previous
-level, and the driver ages that window after each level.
+counter, which the closed-form evaluation budgets refer to; ``rdp``
+ages its two-level |f'| memo after each level (see ``EvalCounter``).
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from .geometry import (
     envelope,
 )
 from .poly import EvalCounter, Polynomial, _majorant
-from .winding import Normal, SingularError, initial_samples, ipsr
+from .winding import SingularError, initial_samples, ipsr
 
 __all__ = [
     "RootBox",
@@ -92,17 +91,21 @@ class RdpStats:
 
     ``pe`` is the metered number of distinct polynomial evaluations,
     ``budget`` the closed-form bound it is certified to stay below.
-    ``visited`` lists every (level, region) the recursion examined,
-    ``ipsr_calls`` one (perimeter, q, insertions) triple per boundary
-    winding test, and ``offsets`` every accepted cut-line offset.
+    ``visited`` lists every (level, region) the recursion examined, in
+    level order, ``ipsr_calls`` one (perimeter, q, insertions) triple per
+    boundary winding test, and ``offsets`` every accepted cut-line offset.
     """
 
     pe: int = 0
-    max_level: int = 0
     budget: float = 0.0
     visited: list[tuple[int, ConvexRegion]] = field(default_factory=list)
     ipsr_calls: list[tuple[float, float, int]] = field(default_factory=list)
     offsets: list[float] = field(default_factory=list)
+
+    @property
+    def max_level(self) -> int:
+        """The deepest level examined: that of the last ``visited`` entry, or 0."""
+        return self.visited[-1][0] if self.visited else 0
 
 
 def choose_q(accuracy: float, n0: int, n: int) -> float:
@@ -309,7 +312,7 @@ def rdp(
         return [], stats
 
     cfg = RdpConfig(accuracy, n0, n)  # n0 < n widens the guard
-    max_level = max(math.ceil(math.log2(dr / accuracy)), 0) + 2
+    depth_limit = max(math.ceil(math.log2(dr / accuracy)), 0) + 2
 
     boxes: list[RootBox] = []
     frontier: list[tuple[ConvexRegion, int]] = [(region, n0)]
@@ -325,7 +328,7 @@ def rdp(
                 # evaluations and return the same value.
                 boxes.append(RootBox(reg, cnt))
                 continue
-            if level >= max_level:
+            if level >= depth_limit:
                 raise SubdivisionFailedError(
                     f"region still wider than the accuracy at level {level} "
                     f"(diam_rect {diam_rect(reg)!r} >= {accuracy!r})"
@@ -346,7 +349,6 @@ def rdp(
                 if part.is_empty:
                     continue
                 stats.visited.append((level + 1, part))
-                stats.max_level = level + 1
                 next_frontier.append((part, c))
         frontier = next_frontier
         level += 1

@@ -15,18 +15,9 @@ Three refinement procedures insert samples into a closed curve:
   boundary).
 
 ``ips`` runs the paper's scan ``_refine`` over a ``SampleArray``.
-``ipsr`` samples its parameters itself and runs the same refinement as
-one loop, depth first per initial pair: whether a pair is split depends
-only on its two endpoints, and after a split the scan rechecks the
-unchanged left neighbour and then takes the split pair's left half, so
-it visits pairs in exactly the depth-first order.  Insertions, error
-exits, evaluated points and the count are therefore the same as the
-scan's, without a sample array or a predicate call per pair; the tests
-keep the scan as the reference.  |f'| is read from the counter's
-two-level memo (see ``EvalCounter``) and evaluated only on a miss, so a
-boundary point shared with a test of the same or the previous level
-costs no derivative evaluation; the memoized value is exactly the one a
-fresh evaluation gives, and derivative evaluations are not metered.
+``ipsr`` runs the same refinement as one depth-first loop over
+parameters, in the scan's order (see ``ipsr``), and reads |f'| from the
+counter's two-level memo (see ``EvalCounter``).
 """
 
 from __future__ import annotations
@@ -311,19 +302,20 @@ def ipsr(
     boundary.
 
     Each initial pair is refined to completion, left half before right
-    half, before the next one starts: the order in which the ``_refine``
-    scan with ``pred_p``/``pred_q2`` visits pairs (see the module
-    docstring), so every insertion, error exit and evaluated point is
-    the scan's.  The loop keeps one left sample and a stack of right
-    endpoints, classifies each sample's sector once, adds each clean
-    pair's 7->0 / 0->7 crossing to the index as it goes, and keeps no
-    final samples: callers read only the count and the insertions.  All
-    evaluations of f go through ``ctr``.  |f'| at a left sample is read
-    from ``ctr.slopes``, then from ``ctr.previous_slopes`` (a hit there
-    moves into ``slopes``), and only on a miss evaluated through the
-    module-global ``eval`` and stored.  The stored value is that
-    evaluation itself, so every width decision is the one a fresh
-    evaluation gives.  Derivative evaluations are not metered.
+    half, before the next one starts.  That is the order in which the
+    ``_refine`` scan with ``pred_p``/``pred_q2`` visits pairs: whether a
+    pair is split depends only on its two endpoints, and after a split
+    the scan rechecks the unchanged left neighbour and then takes the
+    split pair's left half.  So every insertion, error exit, evaluated
+    point and the count are the scan's, without a sample array or a
+    predicate call per pair; the tests keep the scan as the reference.
+    The loop keeps one left sample and a stack of right endpoints,
+    classifies each sample's sector once, adds each clean pair's
+    7->0 / 0->7 crossing to the index as it goes, and keeps no final
+    samples: callers read only the count and the insertions.  All
+    evaluations of f go through ``ctr``; |f'| at a left sample comes
+    from its two-level memo (see ``EvalCounter``) and is evaluated
+    through the module-global ``eval`` only on a miss.
     """
     if Q <= 0:
         raise ValueError("Q must be positive")

@@ -142,8 +142,8 @@ class TestRuns:
         return done.returncode
 
     def test_import_leaves_numpy_out(self):
-        # No module imports numpy and only --svg needs ElementTree; a run
-        # reports through its result and --stats, so no logging either.
+        # No module imports numpy or ElementTree; a run reports through
+        # its result and --stats, so no logging either.
         code = (
             "import sys, windroot.cli\n"
             "unused = ('numpy', 'xml.etree.ElementTree', 'logging', 'traceback')\n"
@@ -153,10 +153,15 @@ class TestRuns:
 
     @pytest.mark.parametrize(
         "extra, stderr",
-        [([], ""), (["--verify"], "verify: ok — 3 boxes account for all 3 roots\n")],
-        ids=["solve", "verify"],
+        [
+            ([], ""),
+            (["--verify"], "verify: ok — 3 boxes account for all 3 roots\n"),
+            (["--svg", os.devnull], ""),
+        ],
+        ids=["solve", "verify", "svg"],
     )
     def test_solve_leaves_numpy_out(self, extra, stderr):
+        # The SVG is written as text, so no run loads ElementTree either.
         code = (
             "import io, sys, contextlib, windroot.cli\n"
             "err = io.StringIO()\n"
@@ -165,6 +170,7 @@ class TestRuns:
             "assert rc == 0, rc\n"
             f"assert err.getvalue() == {stderr!r}, err.getvalue()\n"
             "assert 'numpy' not in sys.modules\n"
+            "assert 'xml.etree' not in sys.modules\n"
         )
         assert self.fresh_python(code) == 0
 
@@ -404,6 +410,16 @@ class TestSvg:
         assert float(root.get("width")) > 0
         assert float(root.get("height")) > 0
 
+    def test_unwritable_path_is_one_error_line(self, tmp_path):
+        # The boxes are already printed; the write used to end in a traceback.
+        path = tmp_path / "missing" / "run.svg"
+        code, out, err = run_cli(CUBE_ARGS + ["--svg", str(path)])
+        assert code == 1
+        assert out == run_cli(CUBE_ARGS)[1]
+        assert err == (
+            f"windroot: cannot write {path}: [Errno 2] No such file or directory: '{path}'\n"
+        )
+
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -447,11 +463,28 @@ class TestGoldenOutput:
         got_code, out, err = run_cli(argv)
         assert (got_code, strip_seconds(out), err) == (code, golden(stdout), golden(stderr))
 
-    def test_svg_matches_recording(self, tmp_path):
-        # This run accepts shifted cut lines, so their offsets are drawn too.
-        path = tmp_path / "cube.svg"
-        assert run_cli(CUBE_ARGS + ["--svg", str(path)])[0] == 0
-        assert path.read_bytes() == golden("cube_1e-3.svg").encode("utf-8")
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            # This run accepts shifted cut lines, so their offsets are drawn too.
+            (CUBE_ARGS, "cube_1e-3.svg"),
+            (
+                [
+                    "--poly", "z^5-0.3z^2+0.7",
+                    "--region-file", os.path.join(GOLDEN, "hexagon.json"),
+                    "--accuracy", "1e-3",
+                ],
+                "hexagon_1e-3.svg",
+            ),
+            # Only the region's outline: nothing is visited below level 0.
+            (["--poly", "z^3+1", "--rect", "5", "5", "6", "6", "--accuracy", "1e-3"], "rootless.svg"),
+        ],
+        ids=["cube", "hexagon", "rootless"],
+    )
+    def test_svg_matches_recording(self, tmp_path, argv, name):
+        path = tmp_path / name
+        assert run_cli(argv + ["--svg", str(path)])[0] == 0
+        assert path.read_bytes() == golden(name).encode("utf-8")
 
 
 class TestBadInvocations:

@@ -160,14 +160,24 @@ class TestLipschitzBound:
         got = lipschitz_bound(Polynomial((1, 0, 0, 1)), rect(-2, -2, 2, 2))
         assert got == pytest.approx(24.0, rel=1e-12)
 
-    def test_dominates_boundary_supremum(self):
-        from windroot import boundary
+    def test_constant_gives_zero_and_empty_region_raises(self):
+        from windroot.geometry import EMPTY
 
+        assert lipschitz_bound(Polynomial((5,)), rect(-3, 1, 7, 2)) == 0
+        with pytest.raises(ValueError):
+            lipschitz_bound(Polynomial((0, 1)), EMPTY)
+
+    def test_dominates_boundary_supremum(self):
+        from windroot import ConvexRegion, boundary
+
+        # Its largest vertex modulus, 2.83, lies below its envelope's
+        # largest corner modulus, 3.54.
+        triangle = ConvexRegion((-2.5 - 1j, 2 - 2j, 0.5 + 2.5j))
         rng = random.Random(99)
-        for _ in range(10):
+        for i in range(11):
             roots = random_roots(rng, rng.randint(2, 8))
             f = poly_from_roots(roots, random_lead(rng))
-            region = rect(
+            region = triangle if i == 10 else rect(
                 rng.uniform(-3, 0), rng.uniform(-3, 0), rng.uniform(0.5, 3), rng.uniform(0.5, 3)
             )
             bound = lipschitz_bound(f, region)

@@ -324,6 +324,11 @@ class TestRdp:
         _, stats = rdp(rect(-2, -2, 2, 2), CUBE, 1e-3)
         assert stats.visited[0] == (0, rect(-2, -2, 2, 2))
         assert all(lvl <= stats.max_level for lvl, _ in stats.visited)
+        # The depth is read off the visited list, not stored beside it.
+        assert stats.max_level == stats.visited[-1][0] == 13
+        with pytest.raises(AttributeError):
+            stats.max_level = 0
+        assert RdpStats().max_level == 0
         step = 2.0 * 3 / SIN_PI_8 * choose_q(1e-3, 3, 3)
         for off in stats.offsets:
             assert off == round(off / step) * step
