@@ -37,7 +37,6 @@ from .geometry import (
 )
 from .poly import EvalCounter, Polynomial, derivative, eval, lipschitz_bound
 from .rdp import (
-    RdpConfig,
     RdpStats,
     RootBox,
     choose_q,
@@ -106,7 +105,6 @@ __all__ = [
     "ipsr",
     "initial_samples",
     "RootBox",
-    "RdpConfig",
     "RdpStats",
     "choose_q",
     "divide",

@@ -4,12 +4,12 @@ Parses a polynomial (JSON coefficients or ``z^3+1`` shorthand) and a
 convex region (rectangle or polygon), runs the subdivision solver, and
 prints the root boxes as JSON with 17-significant-digit floats.  An
 optional SVG renders the subdivision tree and the boxes.  Exit codes: 0
-success, 1 bad request (an accuracy below the region's float resolution,
-or a polynomial whose values could overflow on the region, is refused
-before any work), an ``--svg`` path that cannot be written, or a
-``--verify`` disagreement, 2 root too close to the initial boundary, 3
-no root-free cut line, 4 internal solver failure (an initial count
-outside [0, degree], cut parts whose counts do not add up, or a
+success, 1 bad request (an accuracy or a region edge below the region's
+float resolution, or a polynomial whose values could overflow on the
+region, is refused before any work), an ``--svg`` path that cannot be
+written, or a ``--verify`` disagreement, 2 root too close to the initial
+boundary, 3 no root-free cut line, 4 internal solver failure (an initial
+count outside [0, degree], cut parts whose counts do not add up, or a
 boundary parameter gap below float resolution).
 """
 
@@ -22,7 +22,6 @@ import sys
 import time
 
 from .errors import (
-    AccuracyBelowResolutionError,
     CountMismatchError,
     InitialRegionSingularError,
     NonTerminationError,
@@ -41,6 +40,11 @@ class _ParseError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        # argparse takes "-1e-3" for an option; read every float as a value.
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.I)
+
     def error(self, message):  # argparse would exit(2); 2 means singular here
         raise _ParseError(message)
 
@@ -315,7 +319,7 @@ def main(argv=None) -> int:
     except (CountMismatchError, NonTerminationError) as exc:
         print(f"windroot: internal solver failure: {exc}", file=sys.stderr)
         return 4
-    except (AccuracyBelowResolutionError, ValueError) as exc:
+    except ValueError as exc:
         print(f"windroot: {exc}", file=sys.stderr)
         return 1
     seconds = time.perf_counter() - started

@@ -36,7 +36,6 @@ from .winding import SingularError, initial_samples, ipsr
 
 __all__ = [
     "RootBox",
-    "RdpConfig",
     "RdpStats",
     "choose_q",
     "divide",
@@ -60,29 +59,6 @@ class RootBox:
             raise ValueError("a root box cannot be empty")
         if self.count < 1:
             raise ValueError("a root box must hold at least one root")
-
-
-@dataclass(frozen=True)
-class RdpConfig:
-    """Frozen parameters of one subdivision run.
-
-    ``q`` is the guard width choose_q(accuracy, n0, n) for ``n0`` roots
-    in the initial region and degree ``n``.
-    """
-
-    accuracy: float
-    n0: int
-    n: int
-
-    def __post_init__(self):
-        if not 0 < self.accuracy < math.inf:
-            raise ValueError("accuracy must be positive and finite")
-        if self.n0 < 1 or self.n < 1:
-            raise ValueError("root count and degree must be at least 1")
-
-    @property
-    def q(self) -> float:
-        return choose_q(self.accuracy, self.n0, self.n)
 
 
 @dataclass
@@ -167,31 +143,32 @@ def _try_cut(
     region: ConvexRegion,
     axis: str,
     f: Polynomial,
-    cfg: RdpConfig,
+    q: float,
+    n0: int,
     ctr: EvalCounter,
     stats: RdpStats,
 ) -> tuple[ConvexRegion, ConvexRegion, int, int]:
     """Cut ``region`` along ``axis`` at the first root-free trial line.
 
     Trial offsets from the midline are 0, +2EQ, -2EQ, +4EQ, -4EQ, ...
-    with E = n/sin(pi/8); a line is accepted when the boundary winding
-    test returns normally on both parts.  At most n0+2 offsets are
-    tried; exhausting them raises SubdivisionFailedError.
+    with E = n/sin(pi/8), n the degree of ``f``; a line is accepted when
+    the boundary winding test returns normally on both parts.  At most
+    n0+2 offsets are tried; exhausting them raises SubdivisionFailedError.
     """
-    step = 2.0 * cfg.n / SIN_PI_8 * cfg.q
-    for k in range(cfg.n0 + 2):
+    step = 2.0 * f.degree / SIN_PI_8 * q
+    for k in range(n0 + 2):
         lam = 0.0 if k == 0 else math.ceil(k / 2) * step * (1 if k % 2 else -1)
         a, b = cut(region, axis, lam)
-        ca = _count_part(a, f, cfg.q, ctr, stats)
+        ca = _count_part(a, f, q, ctr, stats)
         if ca is None:
             continue
-        cb = _count_part(b, f, cfg.q, ctr, stats)
+        cb = _count_part(b, f, q, ctr, stats)
         if cb is None:
             continue
         stats.offsets.append(lam)
         return a, b, ca, cb
     raise SubdivisionFailedError(
-        f"no root-free {axis} cut line after {cfg.n0 + 2} trial offsets "
+        f"no root-free {axis} cut line after {n0 + 2} trial offsets "
         f"(region envelope {envelope(region)})"
     )
 
@@ -199,7 +176,8 @@ def _try_cut(
 def divide(
     region: ConvexRegion,
     f: Polynomial,
-    cfg: RdpConfig,
+    q: float,
+    n0: int,
     ctr: EvalCounter,
     stats: RdpStats,
 ) -> tuple[
@@ -210,31 +188,42 @@ def divide(
 
     Returns the parts in the order (top-right, top-left, bottom-right,
     bottom-left), some possibly empty with count 0, and their root
-    counts.  The counts sum to the region's own root count.  Every
-    boundary test is appended to ``stats.ipsr_calls`` and every accepted
-    cut offset to ``stats.offsets``.  Raises SubdivisionFailedError when
-    no trial line clears the roots.
+    counts at guard width ``q``; the counts sum to the region's own.
+    Every boundary test is appended to ``stats.ipsr_calls`` and every
+    accepted cut offset to ``stats.offsets``.  Raises
+    SubdivisionFailedError when no trial line clears the roots; ``n0``,
+    the initial region's root count, bounds the trials (see ``_try_cut``).
     """
-    top, bottom, _, _ = _try_cut(region, "horizontal", f, cfg, ctr, stats)
-    left_t, right_t, cl_t, cr_t = _try_cut(top, "vertical", f, cfg, ctr, stats)
-    left_b, right_b, cl_b, cr_b = _try_cut(bottom, "vertical", f, cfg, ctr, stats)
+    top, bottom, _, _ = _try_cut(region, "horizontal", f, q, n0, ctr, stats)
+    left_t, right_t, cl_t, cr_t = _try_cut(top, "vertical", f, q, n0, ctr, stats)
+    left_b, right_b, cl_b, cr_b = _try_cut(bottom, "vertical", f, q, n0, ctr, stats)
     return (right_t, left_t, right_b, left_b), (cr_t, cl_t, cr_b, cl_b)
 
 
 def _check_resolution(curve: BoundaryCurve, q: float) -> None:
-    """Raise AccuracyBelowResolutionError unless q >= 4u.
+    """Raise ValueError unless every edge spans u or more and q >= 4u.
 
     u = max(ulp(perimeter), ulp(c)), c the largest coordinate modulus,
     bounds the spacing of parameters and coordinates on this curve and
-    on every part cut from it later.  ``ipsr`` rounds a midpoint by at
-    most u/2, so a gap of 2u still splits; as the test ends once a left
-    half is no wider than q, every pair it creates and then splits is
-    wider than q - u.  Points are computed to about u.  So q >= 4u keeps
-    every split pair wider than 3u, with distinct samples in order, and
-    the gap guard fires before bisection reaches float resolution.
+    on every part cut from it later; a shorter edge can give two
+    vertices one parameter.  ``ipsr`` rounds a midpoint by at most u/2,
+    so a gap of 2u still splits; as the test ends once a left half is no
+    wider than q, every pair it creates and then splits is wider than
+    q - u.  Points are computed to about u.  So q >= 4u keeps every
+    split pair wider than 3u, with distinct samples in order, and the
+    gap guard fires before bisection reaches float resolution.  A q
+    below 4u raises AccuracyBelowResolutionError.
     """
     c = max(max(abs(v.real), abs(v.imag)) for v in curve.points)
     u = max(math.ulp(curve.perimeter), math.ulp(c))
+    ts = curve.vertex_params
+    span = min(b - a for a, b in zip(ts, ts[1:]))
+    if span < u:
+        raise ValueError(
+            f"the shortest region edge spans {span!r} in the boundary parameter, "
+            f"below its resolution {u!r} (perimeter {curve.perimeter!r}, largest "
+            f"coordinate {c!r}); lengthen the edge or move the region nearer the origin"
+        )
     if q < 4.0 * u:
         raise AccuracyBelowResolutionError(
             f"guard width {q!r} lies below 4 ulp ({u!r}) of the "
@@ -270,28 +259,33 @@ def rdp(
 ) -> tuple[list[RootBox], RdpStats]:
     """Isolate every root of ``f`` inside ``region`` in boxes smaller than ``accuracy``.
 
-    Counts the roots n0 inside the whole region at the guard width
-    RdpConfig(accuracy, n, n).q, n the degree, then subdivides level by
-    level at RdpConfig(accuracy, n0, n).q.  Returns the boxes sorted by
+    With a = min(accuracy, diam_rect(region)), so that a coarser accuracy
+    returns the region as one box, counts the roots n0 inside the region
+    at the guard width choose_q(a, n, n), n the degree, then subdivides
+    level by level at choose_q(a, n0, n).  Returns the boxes sorted by
     envelope center together with run statistics.  Raises, besides
-    ValueError on bad input (up front for values that could overflow,
-    see ``_check_range``): AccuracyBelowResolutionError before any
-    evaluation when the first width is below float resolution (see
-    ``_check_resolution``); InitialRegionSingularError when a root sits
-    too close to the border; SubdivisionFailedError when no trial line
-    cuts a region or the depth limit is reached; and the internal
-    failures CountMismatchError (n0 outside [0, n], or cut parts that
-    do not account for a region's roots or count fewer than none) and
-    NonTerminationError.
+    ValueError on bad input (up front for values that could overflow or
+    an edge below float resolution, see ``_check_range`` and
+    ``_check_resolution``): AccuracyBelowResolutionError before any
+    evaluation when the first width is below float resolution;
+    InitialRegionSingularError when a root sits too close to the border;
+    SubdivisionFailedError when no trial line cuts a region or the depth
+    limit is reached; and the internal failures CountMismatchError (n0
+    outside [0, n], or cut parts that do not account for a region's
+    roots or count fewer than none) and NonTerminationError.
     """
     n = f.degree
     if n < 1:
         raise ValueError("a constant polynomial has no roots to isolate")
+    if not 0 < accuracy < math.inf:
+        raise ValueError("accuracy must be positive and finite")
 
     ctr = EvalCounter()
     stats = RdpStats()
-    q = RdpConfig(accuracy, n, n).q  # checks the accuracy
     curve = boundary(region)
+    dr = diam_rect(region)
+    a = min(accuracy, dr)
+    q = choose_q(a, n, n)
     _check_resolution(curve, q)
     _check_range(f, region)
     outcome = ipsr(curve, f, initial_samples(curve), q, ctr)
@@ -304,14 +298,13 @@ def rdp(
             f"initial boundary test counts {n0} roots for degree {n} "
             f"(region envelope {envelope(region)})"
         )
-    dr = diam_rect(region)
-    stats.budget = pe_budget(max(n0, 1), n, accuracy, dr)
+    stats.budget = pe_budget(max(n0, 1), n, a, dr)
     stats.visited.append((0, region))
     if n0 == 0:
         stats.pe = ctr.evaluations
         return [], stats
 
-    cfg = RdpConfig(accuracy, n0, n)  # n0 < n widens the guard
+    q = choose_q(a, n0, n)  # n0 < n widens the guard
     depth_limit = max(math.ceil(math.log2(dr / accuracy)), 0) + 2
 
     boxes: list[RootBox] = []
@@ -333,7 +326,7 @@ def rdp(
                     f"region still wider than the accuracy at level {level} "
                     f"(diam_rect {diam_rect(reg)!r} >= {accuracy!r})"
                 )
-            parts, counts = divide(reg, f, cfg, ctr, stats)
+            parts, counts = divide(reg, f, q, n0, ctr, stats)
             if sum(counts) != cnt:
                 raise CountMismatchError(
                     f"cut parts account for {sum(counts)} roots "

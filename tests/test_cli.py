@@ -208,9 +208,9 @@ class TestRuns:
         divide = rdp_module.divide
         swapped = []
 
-        def swap(region, f, cfg, ctr, stats):
-            parts, counts = divide(region, f, cfg, ctr, stats)
-            small = all(p.is_empty or diam_rect(p) < cfg.accuracy for p in parts)
+        def swap(region, f, q, n0, ctr, stats):
+            parts, counts = divide(region, f, q, n0, ctr, stats)
+            small = all(p.is_empty or diam_rect(p) < 1e-3 for p in parts)
             if swapped or small != below_accuracy or 0 not in counts:
                 return parts, counts
             swapped.append(region)
@@ -250,6 +250,28 @@ class TestRuns:
             "(1.7763568394002505e-15) of the region (perimeter 12.8, largest "
             "coordinate 3.0); raise the accuracy, or shrink the region or move "
             "it nearer the origin\n"
+        )
+
+    def test_region_edge_below_float_resolution_refused_up_front(self, monkeypatch):
+        # 1 + 1e-16 rounds to 1, so two vertices share a boundary
+        # parameter; the sample array used to refuse it inside ipsr with
+        # "parameters must be strictly increasing".
+        rdp_module = importlib.import_module("windroot.rdp")
+        calls = []
+        ipsr = rdp_module.ipsr
+        monkeypatch.setattr(
+            rdp_module, "ipsr", lambda *args: calls.append(args) or ipsr(*args)
+        )
+        code, out, err = run_cli(
+            ["--poly", "z^3+1", "--rect", "0", "0", "1", "1e-16", "--accuracy", "1e-3"]
+        )
+        assert code == 1
+        assert out == ""
+        assert calls == []
+        assert err == (
+            "windroot: the shortest region edge spans 0.0 in the boundary parameter, "
+            "below its resolution 4.440892098500626e-16 (perimeter 2.0, largest "
+            "coordinate 1.0); lengthen the edge or move the region nearer the origin\n"
         )
 
     @pytest.mark.parametrize(
@@ -395,6 +417,20 @@ class TestInputForms:
         assert boxes[0]["count"] == 1
         x0, y0, x1, y1 = boxes[0]["envelope"]
         assert x0 <= 0 <= x1 and y0 <= 0 <= y1
+
+    def test_rect_reads_negative_numbers_with_an_exponent(self):
+        # argparse took "-1e-3" for an option: "expected 4 arguments".
+        code, out, err = run_cli(
+            ["--poly", "z^3+1", "--rect", "-1e-3", "-1e-3", "1e-3", "1e-3", "--accuracy", "1e-4"]
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["boxes"] == []
+        _, a, _ = run_cli(["--poly", "z^3+1", "--rect", "-2e0", "-2", "2", "2", "--accuracy", "1e-3"])
+        _, b, _ = run_cli(CUBE_ARGS)
+        assert a == b
+        code, _, err = run_cli(["--poly", "z", "--rect", "-1e-3", "0", "1", "--accuracy", "1"])
+        assert code == 1
+        assert err == "windroot: error: argument --rect: expected 4 arguments\n"
 
 
 class TestSvg:

@@ -1,7 +1,6 @@
 """Recursive subdivision: guard width, budgets, cutting, and full runs."""
 
 import cmath
-import dataclasses
 import importlib
 import math
 import random
@@ -25,7 +24,7 @@ from windroot import (
 )
 from windroot.geometry import EMPTY, SIN_PI_8, diam_rect
 from windroot.poly import EvalCounter
-from windroot.rdp import RdpConfig, RdpStats, RootBox
+from windroot.rdp import RdpStats, RootBox
 
 from support import inside_count, le_rel, poly_from_roots, random_lead, random_roots, rect
 
@@ -79,28 +78,7 @@ class TestBudgets:
             assert pe_budget_sharp(n0, n, a, dr) <= pe_budget(n0, n, a, dr)
 
 
-class TestConfig:
-    def test_q_is_derived_from_accuracy_and_counts(self):
-        rng = random.Random(84)
-        for _ in range(50):
-            a = rng.uniform(1e-9, 1.0)
-            n = rng.randint(1, 64)
-            n0 = rng.randint(1, n)
-            assert RdpConfig(a, n0, n).q == choose_q(a, n0, n)
-
-    def test_fields_are_accuracy_and_counts_only(self):
-        names = [f.name for f in dataclasses.fields(RdpConfig)]
-        assert names == ["accuracy", "n0", "n"]
-
-    def test_other_validations(self):
-        for accuracy in (0.0, math.inf, math.nan):
-            with pytest.raises(ValueError):
-                RdpConfig(accuracy, 1, 1)
-        with pytest.raises(ValueError):
-            RdpConfig(1e-3, 0, 1)
-        with pytest.raises(ValueError):
-            RdpConfig(1e-3, 1, 0)
-
+class TestRootBox:
     def test_box_validations(self):
         with pytest.raises(ValueError):
             RootBox(EMPTY, 1)
@@ -111,19 +89,19 @@ class TestConfig:
 class TestDivide:
     def test_root_on_midline_shifts_horizontal_cut_only(self):
         f = Polynomial((-1, 0, 0, 1))  # roots at 1 and on the unit circle
-        cfg = RdpConfig(1e-3, 3, 3)
+        q = choose_q(1e-3, 3, 3)
         stats = RdpStats()
-        _, counts = divide(rect(-1.9, -2, 2.1, 2), f, cfg, EvalCounter(), stats)
+        _, counts = divide(rect(-1.9, -2, 2.1, 2), f, q, 3, EvalCounter(), stats)
         assert counts == (0, 1, 1, 1)
-        step = 2.0 * cfg.n / SIN_PI_8 * cfg.q
+        step = 2.0 * 3 / SIN_PI_8 * q
         assert stats.offsets == [step, 0.0, 0.0]
 
     def test_two_roots_on_midline(self):
         f = Polynomial((0, -1, 1))  # z^2 - z, roots 0 and 1
-        cfg = RdpConfig(1e-3, 2, 2)
+        q = choose_q(1e-3, 2, 2)
         stats = RdpStats()
-        _, counts = divide(rect(-1, -1, 2, 1), f, cfg, EvalCounter(), stats)
-        step = 2.0 * cfg.n / SIN_PI_8 * cfg.q
+        _, counts = divide(rect(-1, -1, 2, 1), f, q, 2, EvalCounter(), stats)
+        step = 2.0 * 2 / SIN_PI_8 * q
         assert stats.offsets[0] == step
         assert stats.offsets[1:] == [0.0, 0.0]
         assert counts == (0, 0, 1, 1)
@@ -138,8 +116,8 @@ class TestDivide:
             y0 = min(r.imag for r in roots) - 0.4
             x1 = max(r.real for r in roots) + 0.4
             y1 = max(r.imag for r in roots) + 0.4
-            cfg = RdpConfig(1e-2, n, n)
-            parts, counts = divide(rect(x0, y0, x1, y1), f, cfg, EvalCounter(), RdpStats())
+            q = choose_q(1e-2, n, n)
+            parts, counts = divide(rect(x0, y0, x1, y1), f, q, n, EvalCounter(), RdpStats())
             assert sum(counts) == n
             for part, c in zip(parts, counts):
                 if part.is_empty:
@@ -147,9 +125,8 @@ class TestDivide:
 
     def test_parts_cover_parent_envelope(self):
         f = CUBE
-        cfg = RdpConfig(1e-3, 3, 3)
         region = rect(-2, -2, 2, 2)
-        parts, _ = divide(region, f, cfg, EvalCounter(), RdpStats())
+        parts, _ = divide(region, f, choose_q(1e-3, 3, 3), 3, EvalCounter(), RdpStats())
         area = sum(
             0.0
             if p.is_empty
@@ -313,12 +290,23 @@ class TestRdp:
         assert contains(boxes[0].region, c)
 
     def test_input_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty region"):
             rdp(EMPTY, CUBE, 1e-3)
-        with pytest.raises(ValueError):
-            rdp(rect(0, 0, 1, 1), CUBE, 0.0)
+        for accuracy in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="^accuracy must be positive and finite$"):
+                rdp(rect(0, 0, 1, 1), CUBE, accuracy)
         with pytest.raises(ValueError):
             rdp(rect(0, 0, 1, 1), Polynomial((5,)), 1e-3)
+
+    @pytest.mark.parametrize("accuracy", [6.0, 10.0, 20.0, 30.0, 50.0, 100.0, 1e300])
+    def test_accuracy_coarser_than_the_region_gives_one_box(self, accuracy):
+        # diam_rect is 5.657.  The guard widths and the budget used to
+        # grow with the accuracy: pe 48 over a budget of 47.16 at 20, a
+        # negative budget at 30, and a false singular boundary from 50.
+        region = rect(-2, -2, 2, 2)
+        boxes, stats = rdp(region, CUBE, accuracy)
+        assert [(b.region, b.count) for b in boxes] == [(region, 3)]
+        assert stats.pe <= stats.budget
 
     def test_stats_record_visited_and_offsets(self):
         _, stats = rdp(rect(-2, -2, 2, 2), CUBE, 1e-3)

@@ -32,7 +32,7 @@ from windroot import (
 )
 from windroot.geometry import SIN_PI_8
 from windroot.poly import EvalCounter, eval as peval
-from windroot.rdp import RdpConfig, RdpStats
+from windroot.rdp import RdpStats
 from windroot.winding import SampleArray, _refine
 from windroot.oracle import RootList, condition_number, dist_set_curve, winding_brute
 
@@ -458,11 +458,11 @@ class TestIpsrMatchesScan:
         for n in (20, 33, 46, 64):
             f = Polynomial((-1,) + (0,) * (n - 1) + (1,))
             out = self.assert_same(boundary(region), f, choose_q(1e-3, n, n))
-            cfg = RdpConfig(1e-3, out.index, n)
-            parts, _ = divide(region, f, cfg, EvalCounter(), RdpStats())
+            q = choose_q(1e-3, out.index, n)
+            parts, _ = divide(region, f, q, out.index, EvalCounter(), RdpStats())
             for part in parts:
                 if not part.is_empty:
-                    self.assert_same(boundary(part), f, cfg.q)
+                    self.assert_same(boundary(part), f, q)
         # Random degree 20-60, with a root near an edge as above in every
         # other instance.
         high = {Normal: 0, SingularError: 0}
