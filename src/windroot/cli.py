@@ -42,8 +42,9 @@ class _ParseError(Exception):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
-        # argparse takes "-1e-3" for an option; read every float as a value.
-        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.I)
+        # argparse takes "-1e-3" or "-z^3+1" for an option; read every
+        # float and every polynomial shorthand that starts with "-z" as a value.
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan|z)", re.I)
 
     def error(self, message):  # argparse would exit(2); 2 means singular here
         raise _ParseError(message)
@@ -109,6 +110,17 @@ def _parse_polynomial(text: str) -> Polynomial:
         raise _ParseError(str(exc)) from exc
 
 
+def _rect_value(text: str) -> float:
+    """A ``--rect`` coordinate; an option string here means too few values.
+
+    Some argparse versions let ``nargs=4`` take an option string as a
+    value, which would otherwise read as "invalid float value".
+    """
+    if text.startswith("--"):
+        raise argparse.ArgumentTypeError("expected 4 arguments")
+    return float(text)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="windroot",
@@ -125,7 +137,7 @@ def _build_parser() -> _Parser:
     region.add_argument(
         "--rect",
         nargs=4,
-        type=float,
+        type=_rect_value,
         metavar=("X0", "Y0", "X1", "Y1"),
         help="axis-aligned rectangular region",
     )

@@ -62,38 +62,44 @@ class EvalCounter:
     between different polynomials (the caches are keyed by the point
     alone) and is not safe for concurrent use.
 
-    ``slopes`` and ``previous_slopes`` memoize |f'(z)| for the width test
-    of ``winding.ipsr`` over a window of two subdivision levels: the
-    current one and the one before.  ``ipsr`` reads ``slopes``, then
-    ``previous_slopes`` (moving a hit there into ``slopes``), and on a
-    miss evaluates |f'| and stores it; ``rdp`` calls ``next_level``
-    after each level, which ages the window and drops the older level.
-    A stored value is the evaluation itself, so every width decision is
-    the one a fresh evaluation gives.  Derivative evaluations are not
-    metered, so neither dict counts towards ``evaluations``.
+    ``samples`` and ``previous_samples`` hold the boundary samples of
+    ``winding.ipsr`` over a window of two subdivision levels, the current
+    one and the one before.  Each maps a point z to its record
+    ``[f(z), sector, |f(z)|, |f'(z)| or None]``; ``ipsr`` fills |f'| the
+    first time its width test needs it.  ``ipsr`` reads ``samples``,
+    then ``previous_samples`` (moving a hit there into ``samples``), and
+    only on a miss evaluates and classifies the point; ``rdp`` calls
+    ``next_level`` after each level, which ages the window and drops the
+    older level.  A record is made right after a metered ``eval`` of its
+    point, so a record hit is a cache hit and skipping the ``eval``
+    changes neither ``cache`` nor ``evaluations``.  Derivative
+    evaluations are not metered.
 
     The window is not run-wide because nearly every repeated point
     recurs in its own level or the next (a cut part shares its boundary
     with its parent and its sibling), while a run-wide memo holds every
-    boundary point of the run.  On the high-degree benchmark the window
-    cuts derivative evaluations by 60% and a run-wide memo by 61%, but
-    peak RSS rises by 3.5% with the window and by 14% (24.1 to 27.4 MB)
-    with a run-wide memo.  On its degree-58 instance, with 24.5k distinct
-    points, the window never holds more than 8.6k.
+    boundary point of the run.  For |f'| alone, a run-wide memo saved 61%
+    of the derivative evaluations on the high-degree benchmark against
+    the window's 60%, but raised peak RSS by 14% against 3.5%.  Nearly
+    every sample is at some point a left sample whose |f'| the width
+    test reads, so a window of records holds the same points as a window
+    of |f'| alone: on the high-degree benchmark at seed 4712 at most
+    12.3k of them (a random degree-60 instance, 33.3k distinct points),
+    and peak RSS rises from 24.9 to 25.5 MB.
     """
 
     cache: dict[complex, complex] = field(default_factory=dict)
-    slopes: dict[complex, float] = field(default_factory=dict)
-    previous_slopes: dict[complex, float] = field(default_factory=dict)
+    samples: dict[complex, list] = field(default_factory=dict)
+    previous_samples: dict[complex, list] = field(default_factory=dict)
 
     @property
     def evaluations(self) -> int:
         return len(self.cache)
 
     def next_level(self) -> None:
-        """Age the |f'| window: the current level becomes the previous one."""
-        self.previous_slopes = self.slopes
-        self.slopes = {}
+        """Age the sample window: the current level becomes the previous one."""
+        self.previous_samples = self.samples
+        self.samples = {}
 
 
 def _horner(coeffs: tuple[complex, ...], z: complex) -> complex:

@@ -8,7 +8,8 @@ the midline in fixed trial steps whenever a root sits close enough to
 make the boundary winding test fail, so every accepted piece has a
 certified count.  All polynomial evaluations go through one shared memo
 counter, which the closed-form evaluation budgets refer to; ``rdp``
-ages its two-level |f'| memo after each level (see ``EvalCounter``).
+ages its two-level window of boundary samples after each level (see
+``EvalCounter``).
 """
 
 from __future__ import annotations

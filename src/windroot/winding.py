@@ -16,8 +16,9 @@ Three refinement procedures insert samples into a closed curve:
 
 ``ips`` runs the paper's scan ``_refine`` over a ``SampleArray``.
 ``ipsr`` runs the same refinement as one depth-first loop over
-parameters, in the scan's order (see ``ipsr``), and reads |f'| from the
-counter's two-level memo (see ``EvalCounter``).
+parameters, in the scan's order (see ``ipsr``), and reads each boundary
+sample's image, sector, modulus and |f'| from the counter's two-level
+sample window (see ``EvalCounter``).
 """
 
 from __future__ import annotations
@@ -309,13 +310,14 @@ def ipsr(
     split pair's left half.  So every insertion, error exit, evaluated
     point and the count are the scan's, without a sample array or a
     predicate call per pair; the tests keep the scan as the reference.
-    The loop keeps one left sample and a stack of right endpoints,
-    classifies each sample's sector once, adds each clean pair's
-    7->0 / 0->7 crossing to the index as it goes, and keeps no final
-    samples: callers read only the count and the insertions.  All
-    evaluations of f go through ``ctr``; |f'| at a left sample comes
-    from its two-level memo (see ``EvalCounter``) and is evaluated
-    through the module-global ``eval`` only on a miss.
+    The loop keeps one left sample and a stack of right endpoints, adds
+    each clean pair's 7->0 / 0->7 crossing to the index as it goes, and
+    keeps no final samples: callers read only the count and the
+    insertions.  Each sample's record (image, sector, |image| and, once
+    the width test needs it, |f'|) comes from the counter's two-level
+    sample window (see ``EvalCounter``); only a point missing from it is
+    evaluated, through ``ctr`` and the module-global ``eval``, and
+    classified.
     """
     if Q <= 0:
         raise ValueError("Q must be positive")
@@ -324,33 +326,44 @@ def ipsr(
     # The name lookups stay global, once per call, so that wrappers
     # installed on this module's ``eval`` and ``sector_of`` see every call.
     feval, sector = eval, sector_of
-    slopes, previous_slopes = ctr.slopes, ctr.previous_slopes
-    # As in the scan, every initial sample is evaluated before the zero check.
-    ps = [curve(t) for t in ts]
-    ws = [feval(f, p, ctr) for p in ps]
+    samples, previous_samples = ctr.samples, ctr.previous_samples
     guarantee = math.sqrt(2.0) / (4.0 * Q)
-    for t, w in zip(ts, ws):
-        if w == 0:
-            return SingularError(t, guarantee, 0)
+    # Each sample's record [image, sector, |image|, |f'| or None] comes
+    # from the window, or on a miss from a metered evaluation.  As in the
+    # scan, every initial sample is evaluated before the zero check.
+    ps = [curve(t) for t in ts]
+    rs = []
+    zero = None
+    for t, p in zip(ts, ps):
+        r = samples.get(p)
+        if r is None:
+            r = previous_samples.pop(p, None)
+            if r is None:
+                w = feval(f, p, ctr)
+                if w == 0:
+                    if zero is None:
+                        zero = t
+                    continue
+                r = [w, sector(w), abs(w), None]
+            samples[p] = r
+        rs.append(r)
+    if zero is not None:
+        return SingularError(zero, guarantee, 0)
 
-    # The left sample (t, point, image, sector, |image|) and |f'(point)|,
-    # looked up the first time the width test needs it.
-    ta, pa, wa = ts[0], ps[0], ws[0]
-    ka, ma, da = sector(wa), abs(wa), None
+    # The left sample: parameter, point, record and the record's first three
+    # fields (image, sector, |image|); the right sample likewise.
+    ta, pa, ra = ts[0], ps[0], rs[0]
+    wa, ka, ma, _ = ra
     index = insertions = 0
     for j in range(1, len(ts)):
-        tb, pb, wb = ts[j], ps[j], ws[j]
-        kb, mb = sector(wb), abs(wb)
+        tb, pb, rb = ts[j], ps[j], rs[j]
+        wb, kb, mb, _ = rb
         stack = []  # right endpoints still to visit, nearest on top
         while True:
             if (ka - kb) % 8 in (0, 1, 7):
+                da = ra[3]
                 if da is None:
-                    da = slopes.get(pa)
-                    if da is None:
-                        da = previous_slopes.pop(pa, None)
-                        if da is None:
-                            da = abs(feval(df, pa))
-                        slopes[pa] = da
+                    da = ra[3] = abs(feval(df, pa))
                 failing = ma + mb <= 2.0 * da * (tb - ta) + abs(wb - wa)
             else:
                 failing = True
@@ -359,10 +372,11 @@ def ipsr(
                     index += 1
                 elif ka == 0 and kb == 7:
                     index -= 1
-                ta, pa, wa, ka, ma, da = tb, pb, wb, kb, mb, None
+                ta, pa, ra, wa, ka, ma = tb, pb, rb, wb, kb, mb
                 if not stack:
                     break
-                tb, pb, wb, kb, mb = stack.pop()
+                tb, pb, rb = stack.pop()
+                wb, kb, mb, _ = rb
                 continue
             mid = 0.5 * (ta + tb)
             if not ta < mid < tb:
@@ -370,16 +384,23 @@ def ipsr(
                     f"parameter gap [{ta!r}, {tb!r}] is below float resolution"
                 )
             pm = curve(mid)
-            wm = feval(f, pm, ctr)
             insertions += 1
-            if wm == 0:
-                return SingularError(mid, guarantee, insertions)
+            rm = samples.get(pm)
+            if rm is None:
+                rm = previous_samples.pop(pm, None)
+                if rm is None:
+                    wm = feval(f, pm, ctr)
+                    if wm == 0:
+                        return SingularError(mid, guarantee, insertions)
+                    rm = [wm, sector(wm), abs(wm), None]
+                samples[pm] = rm
             if mid - ta <= Q:
                 # The guard fired; as in ``_refine``, report the pre-split
                 # endpoint with the smaller modulus (ties go left).
                 return SingularError(ta if ma <= mb else tb, guarantee, insertions)
-            stack.append((tb, pb, wb, kb, mb))
-            tb, pb, wb, kb, mb = mid, pm, wm, sector(wm), abs(wm)
+            stack.append((tb, pb, rb))
+            tb, pb, rb = mid, pm, rm
+            wb, kb, mb, _ = rm
     return Normal(index, insertions)
 
 

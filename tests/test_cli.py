@@ -431,6 +431,16 @@ class TestInputForms:
         code, _, err = run_cli(["--poly", "z", "--rect", "-1e-3", "0", "1", "--accuracy", "1"])
         assert code == 1
         assert err == "windroot: error: argument --rect: expected 4 arguments\n"
+        # An option string is no coordinate, whatever argparse lets nargs=4 take.
+        code, _, err = run_cli(["--poly", "z", "--rect", "-1e-3", "0", "1", "--acc", "1"])
+        assert code == 1
+        assert err == "windroot: error: argument --rect: expected 4 arguments\n"
+
+    def test_shorthand_with_a_leading_minus(self):
+        # argparse took "-z^3+1" for an option: "expected one argument".
+        code, out, err = run_cli(["--poly", "-z^3+1", "--rect", "-2", "-2", "2", "2", "--accuracy", "1e-1"])
+        assert (code, err) == (0, "")
+        assert sum(box["count"] for box in json.loads(out)["boxes"]) == 3
 
 
 class TestSvg:

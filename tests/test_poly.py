@@ -82,15 +82,15 @@ class TestEvalCounter:
     def test_count_is_the_cache_size_and_read_only(self):
         assert [f.name for f in dataclasses.fields(EvalCounter)] == [
             "cache",
-            "slopes",
-            "previous_slopes",
+            "samples",
+            "previous_samples",
         ]
         ctr = EvalCounter()
         for z in (1j, 2j, 1j, 3j):
             eval(Polynomial((1, 1)), z, ctr)
-        # The |f'| memo of the width test is not metered.
-        ctr.slopes[4j] = 1.0
-        ctr.previous_slopes[5j] = 1.0
+        # The sample window of the boundary test is not metered.
+        ctr.samples[4j] = [1j, 2, 1.0, None]
+        ctr.previous_samples[5j] = [1j, 2, 1.0, 1.0]
         assert ctr.evaluations == len(ctr.cache) == 3
         with pytest.raises(AttributeError):
             ctr.evaluations = 0

@@ -290,37 +290,47 @@ class TestIpsr:
         # The closure revisits the start point; every other sample is new.
         assert ctr.evaluations == len(initial_samples(curve)) - 1 + out.insertions
 
-    def test_slope_memo_spans_two_levels(self, monkeypatch):
-        # Derivative evaluations are the module's unmetered ``eval`` calls.
+    def test_sample_window_spans_two_levels(self, monkeypatch):
+        # A sample in the window is neither evaluated (f with the counter,
+        # f' without) nor classified again.
         winding_module = importlib.import_module("windroot.winding")
-        original = winding_module.eval
-        slope_evals = []
+        original_eval, original_sector = winding_module.eval, winding_module.sector_of
+        f_evals, df_evals, sectors = [], [], []
 
-        def counting(f, z, ctr=None):
-            if ctr is None:
-                slope_evals.append(z)
-            return original(f, z, ctr)
+        def counting_eval(g, z, ctr=None):
+            (df_evals if ctr is None else f_evals).append(z)
+            return original_eval(g, z, ctr)
 
-        monkeypatch.setattr(winding_module, "eval", counting)
+        def counting_sector(w):
+            sectors.append(w)
+            return original_sector(w)
+
+        monkeypatch.setattr(winding_module, "eval", counting_eval)
+        monkeypatch.setattr(winding_module, "sector_of", counting_sector)
         f = Polynomial((1, 0, 0, 1))
         curve = boundary(rect(-2, -2, 2, 2))
         ctr = EvalCounter()
 
         def rerun():
-            slope_evals.clear()
+            for calls in (f_evals, df_evals, sectors):
+                calls.clear()
             return ipsr(curve, f, initial_samples(curve), 1e-3, ctr)
 
         first = rerun()
         assert isinstance(first, Normal)
-        cold = len(slope_evals)
-        assert cold == len(ctr.slopes) > 0
-        assert rerun() == first and slope_evals == []
+        cold = (len(f_evals), len(df_evals), len(sectors))
+        # The closure revisits the start point, which the window serves.
+        assert cold[0] == cold[2] == len(ctr.samples) == ctr.evaluations
+        assert 0 < cold[1] <= cold[0]
+        assert rerun() == first and f_evals == df_evals == sectors == []
         ctr.next_level()  # the previous level still serves, and moves up
-        assert rerun() == first and slope_evals == []
-        assert len(ctr.slopes) == cold and ctr.previous_slopes == {}
+        assert rerun() == first and f_evals == df_evals == sectors == []
+        assert len(ctr.samples) == cold[0] and ctr.previous_samples == {}
         ctr.next_level()
         ctr.next_level()
-        assert rerun() == first and len(slope_evals) == cold
+        assert rerun() == first
+        assert (len(f_evals), len(df_evals), len(sectors)) == cold
+        assert ctr.evaluations == cold[0]  # every evaluation was a cache hit
 
     @pytest.mark.xfail(
         strict=True,
@@ -480,7 +490,7 @@ class TestIpsrMatchesScan:
 
     def test_warmed_counter_agrees(self):
         # A cut part shares boundary points with its parent, so its test
-        # reads |f'| that the parent's test memoized, in the current level
+        # reads records that the parent's test made, in the current level
         # or, after ``next_level``, the previous one.
         rng = random.Random(3037)
         kinds = {Normal: 0, SingularError: 0}
@@ -495,12 +505,12 @@ class TestIpsrMatchesScan:
                 curve = boundary(part)
                 warm = (parent, k % 4 >= 2)
                 kinds[type(self.assert_same(curve, f, Q, warm=warm))] += 1
-                # Keys never sit in both dicts, so the memo grows by the misses.
+                # Keys never sit in both dicts, so the window grows by the misses.
                 ctr = warmed_counter(f, Q, warm)
-                held = len(ctr.slopes) + len(ctr.previous_slopes)
+                held = len(ctr.samples) + len(ctr.previous_samples)
                 ipsr(curve, f, initial_samples(curve), Q, ctr)
-                misses += len(ctr.slopes) + len(ctr.previous_slopes) - held
-                cold += len(outcome_and_meter(ipsr, curve, f, Q)[1].slopes)
+                misses += len(ctr.samples) + len(ctr.previous_samples) - held
+                cold += len(outcome_and_meter(ipsr, curve, f, Q)[1].samples)
         assert kinds[Normal] >= 24
         assert misses < 0.8 * cold
 
