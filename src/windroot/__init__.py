@@ -12,6 +12,7 @@ from .errors import (
     AccuracyBelowResolutionError,
     CountMismatchError,
     InitialRegionSingularError,
+    InternalSolverError,
     NonTerminationError,
     NoConvergenceError,
     SingularPointError,
@@ -73,6 +74,7 @@ __all__ = [
     "InitialRegionSingularError",
     "SubdivisionFailedError",
     "CountMismatchError",
+    "InternalSolverError",
     "Polynomial",
     "EvalCounter",
     "eval",

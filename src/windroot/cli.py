@@ -9,8 +9,9 @@ float resolution, or a polynomial whose values could overflow on the
 region, is refused before any work), an ``--svg`` path that cannot be
 written, or a ``--verify`` disagreement, 2 root too close to the initial
 boundary, 3 no root-free cut line, 4 internal solver failure (an initial
-count outside [0, degree], cut parts whose counts do not add up, or a
-boundary parameter gap below float resolution).
+count outside [0, degree], cut parts whose counts do not add up, a
+boundary parameter gap below float resolution, or a geometry or
+boundary-test step that refuses its arguments during subdivision).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import time
 from .errors import (
     CountMismatchError,
     InitialRegionSingularError,
+    InternalSolverError,
     NonTerminationError,
     NoConvergenceError,
     SubdivisionFailedError,
@@ -328,7 +330,7 @@ def main(argv=None) -> int:
     except SubdivisionFailedError as exc:
         print(f"windroot: {exc}", file=sys.stderr)
         return 3
-    except (CountMismatchError, NonTerminationError) as exc:
+    except (CountMismatchError, InternalSolverError, NonTerminationError) as exc:
         print(f"windroot: internal solver failure: {exc}", file=sys.stderr)
         return 4
     except ValueError as exc:

@@ -61,3 +61,12 @@ class CountMismatchError(WindrootError):
     returned a wrong count: an internal failure, not bad input and not a
     missing cut line.
     """
+
+
+class InternalSolverError(WindrootError):
+    """A geometry or winding step refused its arguments during subdivision.
+
+    The input passed ``rdp``'s up-front checks, so a ``ValueError`` from
+    cutting a region or testing a part's boundary is an internal failure,
+    not bad input; the message names the level and the region envelope.
+    """

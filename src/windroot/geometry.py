@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import SingularPointError
 
@@ -48,6 +50,8 @@ _CONVEXITY_RTOL = 1e-9
 # cut direction) collapse to the empty region, and vertices closer than
 # this are merged.
 _SLIVER_RTOL = 1e-14
+# Sort key of a complex number: real part first, then imaginary part.
+_LEXICOGRAPHIC = operator.attrgetter("real", "imag")
 
 
 @dataclass(frozen=True)
@@ -64,32 +68,37 @@ class ConvexRegion:
     vertices: tuple[complex, ...]
 
     def __post_init__(self):
-        vertices = tuple(complex(v) for v in self.vertices)
-        for v in vertices:
-            if not cmath.isfinite(v):
-                raise ValueError(f"non-finite vertex {v!r}")
+        vertices = tuple(map(complex, self.vertices))
+        if not all(map(cmath.isfinite, vertices)):
+            bad = next(v for v in vertices if not cmath.isfinite(v))
+            raise ValueError(f"non-finite vertex {bad!r}")
         object.__setattr__(self, "vertices", vertices)
         if not vertices:
             return
-        n = len(vertices)
-        if n < 3:
+        if len(vertices) < 3:
             raise ValueError("a nonempty region needs at least 3 vertices")
-        for i in range(n):
-            if vertices[i] == vertices[(i + 1) % n]:
-                raise ValueError(f"repeated consecutive vertex {vertices[i]!r}")
-        # Summed relative to the first vertex: untranslated, the products
-        # of coordinates far larger than the polygon swamp its area.
-        origin = vertices[0]
+        # One pass over the edges, from vertex i to i+1 for i = 0, 1, ...:
+        # e2 is the current edge, e1 the one before it.  The area is summed
+        # relative to the first vertex (untranslated, the products of
+        # coordinates far larger than the polygon swamp it), in that order.
+        origin = prev = vertices[0]
+        a = prev - origin
+        e1 = origin - vertices[-1]
         area2 = 0.0
-        for i in range(n):
-            a, b = vertices[i] - origin, vertices[(i + 1) % n] - origin
+        turns = []  # (cross product, e1, e2) at each vertex turning clockwise
+        for v in vertices[1:] + vertices[:1]:
+            e2 = v - prev
+            if not e2:
+                raise ValueError(f"repeated consecutive vertex {prev!r}")
+            b = v - origin
             area2 += a.real * b.imag - b.real * a.imag
+            cross = e1.real * e2.imag - e1.imag * e2.real
+            if cross < 0.0:
+                turns.append((cross, e1, e2))
+            prev, a, e1 = v, b, e2
         if area2 <= 0.0:
             raise ValueError("vertices must wind counterclockwise")
-        for i in range(n):
-            e1 = vertices[(i + 1) % n] - vertices[i]
-            e2 = vertices[(i + 2) % n] - vertices[(i + 1) % n]
-            cross = e1.real * e2.imag - e1.imag * e2.real
+        for cross, e1, e2 in turns:
             if cross < -_CONVEXITY_RTOL * abs(e1) * abs(e2):
                 raise ValueError("polygon is not convex")
 
@@ -199,7 +208,10 @@ def cut(
     returns (left, right).  The midline lies halfway between the two
     supporting lines perpendicular to the cut axis.  The parts partition
     the region up to the shared cut segment (shared vertices are
-    bit-identical); a part that degenerates is the empty region.
+    bit-identical); a part that degenerates is the empty region.  One
+    pair of coordinate lists gives the cut level and the parent's
+    ``diam_rect``, which sets the tolerance for merging vertices and for
+    collapsing slivers.
     """
     if axis not in ("horizontal", "vertical"):
         raise ValueError(f"axis must be 'horizontal' or 'vertical', got {axis!r}")
@@ -207,17 +219,16 @@ def cut(
         return EMPTY, EMPTY
     horizontal = axis == "horizontal"
     vs = region.vertices
-    coords = [v.imag if horizontal else v.real for v in vs]
-    level = (min(coords) + max(coords)) / 2.0 + lam
-    parent_dr = diam_rect(region)
+    xs = [v.real for v in vs]
+    ys = [v.imag for v in vs]
+    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+    level = ((y0 + y1) if horizontal else (x0 + x1)) / 2.0 + lam
+    parent_dr = math.hypot(x1 - x0, y1 - y0)  # diam_rect(region)
+    ds = [c - level for c in (ys if horizontal else xs)]
 
     upper: list[complex] = []  # y >= level side (top), or x >= level (right)
     lower: list[complex] = []  # y <= level side (bottom), or x <= level (left)
-    n = len(vs)
-    for i in range(n):
-        a, b = vs[i], vs[(i + 1) % n]
-        da = (a.imag if horizontal else a.real) - level
-        db = (b.imag if horizontal else b.real) - level
+    for a, b, da, db in zip(vs, vs[1:] + vs[:1], ds, ds[1:] + ds[:1]):
         if da >= 0.0:
             upper.append(a)
         if da <= 0.0:
@@ -245,25 +256,34 @@ class BoundaryCurve:
     interpolates linearly, so ``|G(t2) - G(t1)| <= t2 - t1`` up to
     rounding.  ``vertex_params`` lists every vertex parameter including
     both endpoints 0 and ``perimeter``.
+
+    ``edges[i]`` is the i-th edge in traversal order as ``(c, a, length,
+    d)``: its start parameter, start vertex, length and direction
+    ``end - a``.  At a parameter t strictly inside it the curve is
+    ``a + ((t - c) / length) * d``, the arithmetic of ``__call__``, so a
+    caller that knows a parameter's edge can compute its point without
+    the range check and the search.  ``initial`` is None until
+    ``winding.initial_samples`` stores there the samples it draws on this
+    curve.
     """
 
-    __slots__ = ("region", "perimeter", "_points", "_cum", "_lens")
+    __slots__ = ("region", "perimeter", "edges", "initial", "_points", "_cum")
 
     def __init__(self, region: ConvexRegion):
         if region.is_empty:
             raise ValueError("empty region has no boundary curve")
         vs = region.vertices
-        start = min(range(len(vs)), key=lambda i: (vs[i].real, vs[i].imag))
+        start = vs.index(min(vs, key=_LEXICOGRAPHIC))
         pts = vs[start:] + vs[:start] + (vs[start],)
-        lens = tuple(abs(b - a) for a, b in zip(pts, pts[1:]))
-        cum = [0.0]
-        for length in lens:
-            cum.append(cum[-1] + length)
+        ds = list(map(operator.sub, pts[1:], pts))
+        lens = list(map(abs, ds))
+        cum = tuple(accumulate(lens, initial=0.0))
         self.region = region
         self._points = pts
-        self._lens = lens
-        self._cum = tuple(cum)
+        self._cum = cum
         self.perimeter = cum[-1]
+        self.edges = tuple(zip(cum, pts, lens, ds))
+        self.initial = None
 
     @property
     def vertex_params(self) -> tuple[float, ...]:
@@ -279,12 +299,11 @@ class BoundaryCurve:
             raise ValueError(f"parameter {t!r} outside [0, {self.perimeter!r}]")
         if t == 0.0 or t == self.perimeter:
             return self._points[0]
-        i = bisect_right(self._cum, t) - 1
-        s = t - self._cum[i]
+        c, a, length, d = self.edges[bisect_right(self._cum, t) - 1]
+        s = t - c
         if s == 0.0:
-            return self._points[i]
-        a, b = self._points[i], self._points[i + 1]
-        return a + (s / self._lens[i]) * (b - a)
+            return a
+        return a + (s / length) * d
 
     def __repr__(self) -> str:
         return (

@@ -21,6 +21,7 @@ from .errors import (
     AccuracyBelowResolutionError,
     CountMismatchError,
     InitialRegionSingularError,
+    InternalSolverError,
     SubdivisionFailedError,
 )
 from .geometry import (
@@ -273,7 +274,8 @@ def rdp(
     SubdivisionFailedError when no trial line cuts a region or the depth
     limit is reached; and the internal failures CountMismatchError (n0
     outside [0, n], or cut parts that do not account for a region's
-    roots or count fewer than none) and NonTerminationError.
+    roots or count fewer than none), NonTerminationError, and
+    InternalSolverError for a ValueError raised while dividing a region.
     """
     n = f.degree
     if n < 1:
@@ -327,7 +329,12 @@ def rdp(
                     f"region still wider than the accuracy at level {level} "
                     f"(diam_rect {diam_rect(reg)!r} >= {accuracy!r})"
                 )
-            parts, counts = divide(reg, f, q, n0, ctr, stats)
+            try:
+                parts, counts = divide(reg, f, q, n0, ctr, stats)
+            except ValueError as exc:
+                raise InternalSolverError(
+                    f"{exc} (level {level}, region envelope {envelope(reg)})"
+                ) from exc
             if sum(counts) != cnt:
                 raise CountMismatchError(
                     f"cut parts account for {sum(counts)} roots "

@@ -16,14 +16,16 @@ Three refinement procedures insert samples into a closed curve:
 
 ``ips`` runs the paper's scan ``_refine`` over a ``SampleArray``.
 ``ipsr`` runs the same refinement as one depth-first loop over
-parameters, in the scan's order (see ``ipsr``), and reads each boundary
-sample's image, sector, modulus and |f'| from the counter's two-level
-sample window (see ``EvalCounter``).
+parameters, in the scan's order (see ``ipsr``), computes each boundary
+point from its edge (see ``initial_samples``), and reads each sample's
+image, sector, modulus and |f'| from the counter's two-level sample
+window (see ``EvalCounter``).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import NonTerminationError, SingularPointError
@@ -48,14 +50,13 @@ __all__ = [
 
 def _checked_params(params) -> list[float]:
     """``params`` as floats; refused unless they start at 0 and strictly increase."""
-    params = [float(t) for t in params]
+    params = list(map(float, params))
     if len(params) < 2:
         raise ValueError("a sample array needs at least both endpoints")
     if params[0] != 0.0:
         raise ValueError("first parameter must be 0")
-    for a, b in zip(params, params[1:]):
-        if not a < b:
-            raise ValueError("parameters must be strictly increasing")
+    if not all(map(operator.lt, params, params[1:])):
+        raise ValueError("parameters must be strictly increasing")
     return params
 
 
@@ -302,6 +303,14 @@ def ipsr(
     root distances) is at least sqrt(2)/(4Q) — some root lies near the
     boundary.
 
+    ``s0`` must be the parameters ``initial_samples(curve)`` returned;
+    any other list is refused with ValueError.  The initial points are
+    the ones ``initial_samples`` stored in ``curve.initial``, and every
+    initial pair lies on one edge, so each midpoint is computed from its
+    pair's edge with the arithmetic of ``curve(mid)`` (see
+    ``BoundaryCurve``): no sample goes through a curve call, and every
+    point equals the curve's, float for float.
+
     Each initial pair is refined to completion, left half before right
     half, before the next one starts.  That is the order in which the
     ``_refine`` scan with ``pred_p``/``pred_q2`` visits pairs: whether a
@@ -321,8 +330,11 @@ def ipsr(
     """
     if Q <= 0:
         raise ValueError("Q must be positive")
-    df = derivative(f)
     ts = _checked_params(s0)
+    if curve.initial is None or curve.initial[0] != ts:
+        raise ValueError("s0 must be the parameters initial_samples(curve) returned")
+    _, ps, edges = curve.initial
+    df = derivative(f)
     # The name lookups stay global, once per call, so that wrappers
     # installed on this module's ``eval`` and ``sector_of`` see every call.
     feval, sector = eval, sector_of
@@ -331,7 +343,6 @@ def ipsr(
     # Each sample's record [image, sector, |image|, |f'| or None] comes
     # from the window, or on a miss from a metered evaluation.  As in the
     # scan, every initial sample is evaluated before the zero check.
-    ps = [curve(t) for t in ts]
     rs = []
     zero = None
     for t, p in zip(ts, ps):
@@ -358,6 +369,8 @@ def ipsr(
     for j in range(1, len(ts)):
         tb, pb, rb = ts[j], ps[j], rs[j]
         wb, kb, mb, _ = rb
+        # Every point this pair's refinement adds lies strictly inside its edge.
+        c, a, length, d = edges[j - 1]
         stack = []  # right endpoints still to visit, nearest on top
         while True:
             if (ka - kb) % 8 in (0, 1, 7):
@@ -383,7 +396,7 @@ def ipsr(
                 raise NonTerminationError(
                     f"parameter gap [{ta!r}, {tb!r}] is below float resolution"
                 )
-            pm = curve(mid)
+            pm = a + ((mid - c) / length) * d
             insertions += 1
             rm = samples.get(pm)
             if rm is None:
@@ -409,18 +422,29 @@ def initial_samples(curve: BoundaryCurve) -> list[float]:
 
     Every polygon vertex appears as a parameter (so edges are sampled at
     least at their endpoints), long edges are subdivided uniformly, and
-    both endpoints 0 and per are present.  Only parameters are returned:
-    each refinement procedure samples them through its own image map.
+    both endpoints 0 and per are present.  One walk over the edges also
+    computes each parameter's point, with the arithmetic of
+    ``curve(t)``: the vertex itself at a vertex parameter, the edge
+    formula (see ``BoundaryCurve``) strictly inside an edge.  It stores
+    the parameters, the points and each pair's edge in ``curve.initial``,
+    where ``ipsr`` reads them, and returns a copy of the parameters.
     """
-    per = curve.perimeter
-    target = per / 8.0
-    params = [0.0]
-    for t in curve.vertex_params[1:]:
-        prev = params[-1]
-        gap = t - prev
+    target = curve.perimeter / 8.0
+    params, points, edges = [0.0], [curve.points[0]], []
+    for edge, c1, b in zip(curve.edges, curve.vertex_params[1:], curve.points[1:]):
+        c0, a, length, d = edge
+        gap = c1 - c0
         if gap > target:
+            # gap > per/8 makes at most 9 pieces, so every padded parameter
+            # lies some gap/9 from both ends, strictly inside the edge.
             pieces = math.ceil(gap / target)
             for k in range(1, pieces):
-                params.append(prev + gap * (k / pieces))
-        params.append(t)
-    return params
+                t = c0 + gap * (k / pieces)
+                params.append(t)
+                points.append(a + ((t - c0) / length) * d)
+                edges.append(edge)
+        params.append(c1)
+        points.append(b)
+        edges.append(edge)
+    curve.initial = (params, points, edges)
+    return params.copy()

@@ -325,6 +325,21 @@ class TestRuns:
             "[1.0, 1.0000000000000002] is below float resolution\n"
         )
 
+    def test_value_error_during_subdivision_exits_four(self, monkeypatch):
+        # The input passed the up-front checks, so a refusal from the
+        # geometry while dividing is an internal failure, not bad input.
+        def refuse(*args):
+            raise ValueError("polygon is not convex")
+
+        monkeypatch.setattr(importlib.import_module("windroot.rdp"), "cut", refuse)
+        code, out, err = run_cli(CUBE_ARGS)
+        assert code == 4
+        assert out == ""
+        assert err == (
+            "windroot: internal solver failure: polygon is not convex "
+            "(level 0, region envelope (-2.0, -2.0, 2.0, 2.0))\n"
+        )
+
     @pytest.mark.parametrize("bump, count", [(1, 4), (-5, -2)])
     def test_impossible_initial_count_exits_four(self, monkeypatch, bump, count):
         rdp_module = importlib.import_module("windroot.rdp")

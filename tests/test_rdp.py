@@ -324,3 +324,50 @@ class TestRdp:
         per0, q0, _ = stats.ipsr_calls[0]
         assert per0 == 16.0
         assert q0 == choose_q(1e-3, 3, 3)
+
+
+def _clustered_instance():
+    # Two clusters of 2-3 roots, each root 1e-4 to 1e-3 from its centre;
+    # at this seed two cut lines are shifted off the midline.
+    rng = random.Random(1416)
+    roots = []
+    for centre in random_roots(rng, 2, min_sep=1.0):
+        for k in range(rng.randint(2, 3)):
+            spread = 1e-5 * rng.uniform(10, 100)
+            roots.append(centre + spread * cmath.exp(2j * math.pi * (k + rng.random()) / 3))
+    return poly_from_roots(roots, random_lead(rng))
+
+
+def _degree_five_instance():
+    rng = random.Random(1405)
+    roots = random_roots(rng, 5)
+    return poly_from_roots(roots, random_lead(rng))
+
+
+class TestSamplingPinned:
+    """Evaluation counts of seeded runs, fixed: a sampling change that moves
+    one evaluated point, or one insertion, changes at least one of them."""
+
+    @pytest.mark.parametrize(
+        "make, region, accuracy, pe, tests, insertions",
+        [
+            (_degree_five_instance, rect(-2.5, -2.5, 2.5, 2.5), 1e-6, 2477, 643, 4447),
+            (_clustered_instance, rect(-2.5, -2.5, 2.5, 2.5), 1e-5, 2727, 423, 6322),
+            (
+                lambda: Polynomial((-1,) + (0,) * 35 + (1,)),
+                rect(-2.1, -2.13, 2.07, 2.11),
+                1e-3,
+                17930,
+                1975,
+                21979,
+            ),
+        ],
+        ids=["degree5", "clustered", "unity36"],
+    )
+    def test_counts(self, make, region, accuracy, pe, tests, insertions):
+        f = make()
+        boxes, stats = rdp(region, f, accuracy)
+        assert sum(b.count for b in boxes) == f.degree
+        assert stats.pe == pe
+        assert len(stats.ipsr_calls) == tests
+        assert sum(ins for _, _, ins in stats.ipsr_calls) == insertions

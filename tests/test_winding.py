@@ -8,6 +8,7 @@ import random
 import pytest
 
 from windroot import (
+    BoundaryCurve,
     ConvexRegion,
     NonTerminationError,
     Normal,
@@ -412,10 +413,10 @@ def warmed_counter(f, Q, warm=None):
     return ctr
 
 
-def outcome_and_meter(procedure, curve, f, Q, s0=None, warm=None):
+def outcome_and_meter(procedure, curve, f, Q, warm=None):
     ctr = warmed_counter(f, Q, warm)
     try:
-        out = procedure(curve, f, s0 or initial_samples(curve), Q, ctr)
+        out = procedure(curve, f, initial_samples(curve), Q, ctr)
     except NonTerminationError as exc:
         out = ("NonTerminationError", str(exc))
     return out, ctr
@@ -424,9 +425,9 @@ def outcome_and_meter(procedure, curve, f, Q, s0=None, warm=None):
 class TestIpsrMatchesScan:
     """The depth-first loop of ``ipsr`` against the reference scan."""
 
-    def assert_same(self, curve, f, Q, s0=None, warm=None):
-        got, got_ctr = outcome_and_meter(ipsr, curve, f, Q, s0, warm)
-        want, want_ctr = outcome_and_meter(ipsr_scan, curve, f, Q, s0, warm)
+    def assert_same(self, curve, f, Q, warm=None):
+        got, got_ctr = outcome_and_meter(ipsr, curve, f, Q, warm)
+        want, want_ctr = outcome_and_meter(ipsr_scan, curve, f, Q, warm)
         assert type(got) is type(want)
         if isinstance(want, Normal):
             assert got.index == want.index
@@ -515,12 +516,13 @@ class TestIpsrMatchesScan:
         assert misses < 0.8 * cold
 
     def test_boundary_cases_agree(self):
-        # Images 5 and 5j lie two sectors apart, with equal moduli; the
-        # split gap 0.5 equals Q = 0.5, so the guard fires (inclusive)
-        # and reports the left endpoint (ties go left).
-        pts = {0.0: 5 + 0j, 0.5: 3 + 3j, 1.0: 5j}
-        out = self.assert_same(pts.__getitem__, Polynomial((0, 1)), 0.5, [0.0, 1.0])
-        assert out == SingularError(0.0, math.sqrt(2.0) / 2.0, 1)
+        # The first pair's images f(0) = 5 and f(0.5) = 5j lie two
+        # sectors apart, with equal moduli; its left half 0.25 equals
+        # Q = 0.25, so the guard fires (inclusive) and reports the left
+        # endpoint (ties go left).
+        f = Polynomial((5, -10 + 10j))
+        out = self.assert_same(boundary(rect(0, 0, 1, 1)), f, 0.25)
+        assert out == SingularError(0.0, math.sqrt(2.0), 1)
         # An exactly zero image at an initial sample.
         self.assert_same(boundary(rect(0, 0, 1, 1)), Polynomial((-0.5, 1)), 1e-3)
         # A guard width below the float spacing of the parameter.
@@ -551,3 +553,103 @@ class TestInitialSamples:
         curve = boundary(rect(0, 0, 1, 1))
         s0 = initial_samples(curve)
         assert curve(s0[0]) == curve(s0[-1])
+
+
+def bits(points) -> list[tuple[str, str]]:
+    """Each point's coordinates as exact hex strings: -0.0 differs from 0.0."""
+    return [(p.real.hex(), p.imag.hex()) for p in points]
+
+
+class AskedDict(dict):
+    """A sample window that records every point ``ipsr`` looks up in it."""
+
+    def __init__(self):
+        super().__init__()
+        self.asked = []
+
+    def get(self, key, default=None):
+        self.asked.append(key)
+        return super().get(key, default)
+
+
+def sampled_curves(rng, count):
+    """Random convex polygons, rectangles up to 1e6 from the origin,
+    rectangles down to 1e-9 across, and the cut parts of each."""
+    for k in range(count):
+        if k % 3 == 0:
+            region = random_convex_polygon(rng)
+        else:
+            if k % 3 == 1:
+                x0, y0 = (rng.uniform(-1e6, 1e6) for _ in range(2))
+                w, h = (rng.uniform(0.1, 10.0) for _ in range(2))
+            else:
+                x0, y0 = (rng.uniform(-2.0, 2.0) for _ in range(2))
+                w, h = (10 ** rng.uniform(-9, -6) for _ in range(2))
+            region = rect(x0, y0, x0 + w, y0 + h)
+        yield boundary(region)
+        x0, y0, x1, y1 = envelope(region)
+        for axis, extent in (("horizontal", y1 - y0), ("vertical", x1 - x0)):
+            for part in cut(region, axis, rng.uniform(-0.45, 0.45) * extent):
+                if not part.is_empty:
+                    yield boundary(part)
+
+
+class TestSamplesFromEdges:
+    """``initial_samples`` and ``ipsr`` compute points from the edges,
+    float for float as ``curve(t)`` does, and never call the curve."""
+
+    def test_initial_points_are_the_curve_points(self):
+        rng = random.Random(7411)
+        for curve in sampled_curves(rng, 600):
+            s0 = initial_samples(curve)
+            assert curve.initial[0] == s0
+            assert bits(curve.initial[1]) == bits(curve(t) for t in s0)
+
+    def test_midpoints_are_the_curve_points(self, monkeypatch):
+        rng = random.Random(7412)
+        curve_calls = []
+        original = BoundaryCurve.__call__
+
+        def counting(self, t):
+            curve_calls.append(t)
+            return original(self, t)
+
+        monkeypatch.setattr(BoundaryCurve, "__call__", counting)
+        kinds = {Normal: 0, SingularError: 0}
+        inserted = 0
+        for curve in sampled_curves(rng, 45):
+            x0, y0, x1, y1 = envelope(curve.region)
+            size = max(x1 - x0, y1 - y0)
+            # Roots inside, near the border and outside the region.
+            margin = size / 4
+            roots = [
+                complex(rng.uniform(x0 - margin, x1 + margin), rng.uniform(y0 - margin, y1 + margin))
+                for _ in range(rng.randint(1, 4))
+            ]
+            f = poly_from_roots(roots)
+            Q = size * 10 ** rng.uniform(-4, -3)
+            s0 = initial_samples(curve)
+            curve_calls.clear()
+            ctr = EvalCounter(samples=AskedDict())
+            got = ipsr(curve, f, s0, Q, ctr)
+            assert curve_calls == []
+            # The scan samples every parameter through the curve, in the
+            # order in which ipsr looks its points up.
+            seen = []
+            want = ipsr_scan(lambda t: seen.append(curve(t)) or seen[-1], f, s0, Q, EvalCounter())
+            assert got == want
+            assert bits(ctr.samples.asked) == bits(seen)
+            kinds[type(got)] += 1
+            inserted += got.insertions
+        assert kinds[Normal] >= 100 and kinds[SingularError] >= 20
+        assert inserted > 1000
+
+    def test_parameters_other_than_the_initial_samples_refused(self):
+        curve = boundary(rect(0, 0, 1, 1))
+        f = Polynomial((1, 0, 0, 1))
+        with pytest.raises(ValueError, match="initial_samples"):
+            ipsr(curve, f, [0.0, 2.0, 4.0], 1e-3, EvalCounter())
+        s0 = initial_samples(curve)
+        s0[1] = 0.25
+        with pytest.raises(ValueError, match="initial_samples"):
+            ipsr(curve, f, s0, 1e-3, EvalCounter())
