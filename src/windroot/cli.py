@@ -198,9 +198,7 @@ def _box_json(box: RootBox) -> str:
     return f'{{"vertices": [{vs}], "envelope": [{env}], "count": {box.count}}}'
 
 
-def _result_json(
-    boxes: list[RootBox], stats: RdpStats | None, seconds: float | None
-) -> str:
+def _result_json(boxes: list[RootBox], stats: RdpStats | None, seconds: float) -> str:
     lines = ["{", '  "boxes": [']
     for i, box in enumerate(boxes):
         comma = "," if i + 1 < len(boxes) else ""
@@ -211,7 +209,7 @@ def _result_json(
         lines.append(
             f'  "stats": {{"pe": {stats.pe}, "max_level": {stats.max_level}, '
             f'"boxes": {len(boxes)}, "budget": {_fmt(stats.budget)}, '
-            f'"seconds": {_fmt(seconds if seconds is not None else 0.0)}}}'
+            f'"seconds": {_fmt(seconds)}}}'
         )
     lines.append("}")
     return "\n".join(lines)

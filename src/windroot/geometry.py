@@ -255,19 +255,18 @@ class BoundaryCurve:
     vertex parameter returns that vertex bit-exactly; between vertices it
     interpolates linearly, so ``|G(t2) - G(t1)| <= t2 - t1`` up to
     rounding.  ``vertex_params`` lists every vertex parameter including
-    both endpoints 0 and ``perimeter``.
+    both endpoints 0 and ``perimeter``; ``points`` lists the vertices in
+    the same order, the closing duplicate of the start included.
 
     ``edges[i]`` is the i-th edge in traversal order as ``(c, a, length,
     d)``: its start parameter, start vertex, length and direction
     ``end - a``.  At a parameter t strictly inside it the curve is
     ``a + ((t - c) / length) * d``, the arithmetic of ``__call__``, so a
     caller that knows a parameter's edge can compute its point without
-    the range check and the search.  ``initial`` is None until
-    ``winding.initial_samples`` stores there the samples it draws on this
-    curve.
+    the range check and the search.
     """
 
-    __slots__ = ("region", "perimeter", "edges", "initial", "_points", "_cum")
+    __slots__ = ("region", "perimeter", "edges", "vertex_params", "points")
 
     def __init__(self, region: ConvexRegion):
         if region.is_empty:
@@ -279,27 +278,17 @@ class BoundaryCurve:
         lens = list(map(abs, ds))
         cum = tuple(accumulate(lens, initial=0.0))
         self.region = region
-        self._points = pts
-        self._cum = cum
+        self.points = pts
+        self.vertex_params = cum
         self.perimeter = cum[-1]
         self.edges = tuple(zip(cum, pts, lens, ds))
-        self.initial = None
-
-    @property
-    def vertex_params(self) -> tuple[float, ...]:
-        return self._cum
-
-    @property
-    def points(self) -> tuple[complex, ...]:
-        """Vertices in traversal order, the closing duplicate included."""
-        return self._points
 
     def __call__(self, t: float) -> complex:
         if not 0.0 <= t <= self.perimeter:
             raise ValueError(f"parameter {t!r} outside [0, {self.perimeter!r}]")
         if t == 0.0 or t == self.perimeter:
-            return self._points[0]
-        c, a, length, d = self.edges[bisect_right(self._cum, t) - 1]
+            return self.points[0]
+        c, a, length, d = self.edges[bisect_right(self.vertex_params, t) - 1]
         s = t - c
         if s == 0.0:
             return a

@@ -17,7 +17,7 @@ Three refinement procedures insert samples into a closed curve:
 ``ips`` runs the paper's scan ``_refine`` over a ``SampleArray``.
 ``ipsr`` runs the same refinement as one depth-first loop over
 parameters, in the scan's order (see ``ipsr``), computes each boundary
-point from its edge (see ``initial_samples``), and reads each sample's
+point from its edge (see ``BoundaryCurve``), and reads each sample's
 image, sector, modulus and |f'| from the counter's two-level sample
 window (see ``EvalCounter``).
 """
@@ -149,7 +149,7 @@ class SingularError:
 
     t: float
     guarantee: float
-    insertions: int = 0
+    insertions: int
 
 
 WindingOutcome = Normal | SingularError
@@ -272,8 +272,8 @@ def ips(delta, L: float, s0: list[float], Q: float) -> WindingOutcome:
     the returned parameter t satisfies |delta(t)| <= L*Q/sin(pi/8); on
     Normal the index is the exact winding number of ``delta``.
     """
-    if Q <= 0:
-        raise ValueError("Q must be positive")
+    if not 0.0 < Q < math.inf:
+        raise ValueError("Q must be positive and finite")
     S = SampleArray(s0, _curve_sampler(delta))
     guarantee = L * Q / SIN_PI_8
     for j, w in enumerate(S.images):
@@ -303,13 +303,14 @@ def ipsr(
     root distances) is at least sqrt(2)/(4Q) — some root lies near the
     boundary.
 
-    ``s0`` must be the parameters ``initial_samples(curve)`` returned;
-    any other list is refused with ValueError.  The initial points are
-    the ones ``initial_samples`` stored in ``curve.initial``, and every
-    initial pair lies on one edge, so each midpoint is computed from its
-    pair's edge with the arithmetic of ``curve(mid)`` (see
-    ``BoundaryCurve``): no sample goes through a curve call, and every
-    point equals the curve's, float for float.
+    ``s0`` is any strictly increasing list of parameters from 0 to the
+    perimeter that holds every vertex parameter, such as
+    ``initial_samples(curve)``; ValueError refuses any other, and any Q
+    outside (0, inf).  A vertex parameter gives its vertex, one inside an
+    edge the edge arithmetic of ``curve(t)`` (see ``BoundaryCurve``), and
+    so does every midpoint, as each pair lies on one edge: no sample goes
+    through a curve call, and every point equals the curve's, float for
+    float.
 
     Each initial pair is refined to completion, left half before right
     half, before the next one starts.  That is the order in which the
@@ -328,24 +329,40 @@ def ipsr(
     evaluated, through ``ctr`` and the module-global ``eval``, and
     classified.
     """
-    if Q <= 0:
-        raise ValueError("Q must be positive")
+    if not 0.0 < Q < math.inf:
+        raise ValueError("Q must be positive and finite")
     ts = _checked_params(s0)
-    if curve.initial is None or curve.initial[0] != ts:
-        raise ValueError("s0 must be the parameters initial_samples(curve) returned")
-    _, ps, edges = curve.initial
+    if ts[-1] != curve.perimeter:
+        raise ValueError(f"s0 must end at the perimeter {curve.perimeter!r}")
+    cum, vertices, edges = curve.vertex_params, curve.points, curve.edges
     df = derivative(f)
     # The name lookups stay global, once per call, so that wrappers
     # installed on this module's ``eval`` and ``sector_of`` see every call.
     feval, sector = eval, sector_of
     samples, previous_samples = ctr.samples, ctr.previous_samples
     guarantee = math.sqrt(2.0) / (4.0 * Q)
-    # Each sample's record [image, sector, |image|, |f'| or None] comes
-    # from the window, or on a miss from a metered evaluation.  As in the
-    # scan, every initial sample is evaluated before the zero check.
-    rs = []
+    # Walk s0 with the vertex parameters, v indexing the next vertex: t,
+    # and the pair it ends, lie on edges[v - 1] (never read for t = 0).
+    # As s0 ends at the perimeter, v stays in range.  Each sample's record
+    # [image, sector, |image|, |f'| or None] comes from the window, or on
+    # a miss from a metered evaluation.  As in the scan, every initial
+    # sample is evaluated before the zero check.
+    ps, es, rs = [], [], []
     zero = None
-    for t, p in zip(ts, ps):
+    v = 0
+    for t in ts:
+        edge = edges[v - 1]
+        cv = cum[v]
+        if t == cv:
+            p = vertices[v]
+            v += 1
+        elif t < cv:
+            c, a, length, d = edge
+            p = a + ((t - c) / length) * d
+        else:
+            raise ValueError(f"s0 skips the vertex parameter {cv!r}")
+        ps.append(p)
+        es.append(edge)
         r = samples.get(p)
         if r is None:
             r = previous_samples.pop(p, None)
@@ -370,7 +387,7 @@ def ipsr(
         tb, pb, rb = ts[j], ps[j], rs[j]
         wb, kb, mb, _ = rb
         # Every point this pair's refinement adds lies strictly inside its edge.
-        c, a, length, d = edges[j - 1]
+        c, a, length, d = es[j]
         stack = []  # right endpoints still to visit, nearest on top
         while True:
             if (ka - kb) % 8 in (0, 1, 7):
@@ -422,29 +439,17 @@ def initial_samples(curve: BoundaryCurve) -> list[float]:
 
     Every polygon vertex appears as a parameter (so edges are sampled at
     least at their endpoints), long edges are subdivided uniformly, and
-    both endpoints 0 and per are present.  One walk over the edges also
-    computes each parameter's point, with the arithmetic of
-    ``curve(t)``: the vertex itself at a vertex parameter, the edge
-    formula (see ``BoundaryCurve``) strictly inside an edge.  It stores
-    the parameters, the points and each pair's edge in ``curve.initial``,
-    where ``ipsr`` reads them, and returns a copy of the parameters.
+    both endpoints 0 and per are present.  Only parameters are returned,
+    in a new list; the curve is left as it is.
     """
     target = curve.perimeter / 8.0
-    params, points, edges = [0.0], [curve.points[0]], []
-    for edge, c1, b in zip(curve.edges, curve.vertex_params[1:], curve.points[1:]):
-        c0, a, length, d = edge
+    params = [0.0]
+    cum = curve.vertex_params
+    for c0, c1 in zip(cum, cum[1:]):
         gap = c1 - c0
         if gap > target:
-            # gap > per/8 makes at most 9 pieces, so every padded parameter
-            # lies some gap/9 from both ends, strictly inside the edge.
             pieces = math.ceil(gap / target)
             for k in range(1, pieces):
-                t = c0 + gap * (k / pieces)
-                params.append(t)
-                points.append(a + ((t - c0) / length) * d)
-                edges.append(edge)
+                params.append(c0 + gap * (k / pieces))
         params.append(c1)
-        points.append(b)
-        edges.append(edge)
-    curve.initial = (params, points, edges)
-    return params.copy()
+    return params

@@ -3,6 +3,7 @@
 import cmath
 import importlib
 import math
+import operator
 import random
 
 import pytest
@@ -348,6 +349,22 @@ class TestIpsr:
         out = ipsr(curve, f, initial_samples(curve), choose_q(1e-4, 3, 3), EvalCounter())
         assert isinstance(out, Normal) and out.index == 2
 
+    @pytest.mark.parametrize("Q", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "procedure",
+        [
+            lambda curve, Q: ips(curve, 1.0, initial_samples(curve), Q),
+            lambda curve, Q: ipsr(
+                curve, Polynomial((1, 0, 0, 1)), initial_samples(curve), Q, EvalCounter()
+            ),
+        ],
+        ids=["ips", "ipsr"],
+    )
+    def test_guard_width_must_be_positive_and_finite(self, procedure, Q):
+        # A NaN guard never fires; an infinite one fires at the first split.
+        with pytest.raises(ValueError, match="Q must be positive"):
+            procedure(boundary(rect(-2, -2, 2, 2)), Q)
+
     def test_zero_image_at_initial_sample(self):
         out, _, _ = self.run(Polynomial((-0.5, 1)), rect(0, 0, 1, 1))
         assert isinstance(out, SingularError)
@@ -594,16 +611,48 @@ def sampled_curves(rng, count):
                     yield boundary(part)
 
 
+def roots_around(rng, curve):
+    """A polynomial with roots inside, near the border and outside the
+    curve's region, and a guard width of 1e-4 to 1e-3 of its size."""
+    x0, y0, x1, y1 = envelope(curve.region)
+    size = max(x1 - x0, y1 - y0)
+    margin = size / 4
+    roots = [
+        complex(rng.uniform(x0 - margin, x1 + margin), rng.uniform(y0 - margin, y1 + margin))
+        for _ in range(rng.randint(1, 4))
+    ]
+    return poly_from_roots(roots), size * 10 ** rng.uniform(-4, -3)
+
+
+def ipsr_asked(curve, f, s0, Q):
+    """``ipsr``'s outcome and the points it looked up in its window, in order."""
+    ctr = EvalCounter(samples=AskedDict())
+    return ipsr(curve, f, s0, Q, ctr), ctr.samples.asked
+
+
+def assert_scan_agrees(curve, f, s0, Q, got, asked):
+    # The scan samples every parameter through the curve, in the order
+    # in which ipsr looks its points up.
+    seen = []
+    want = ipsr_scan(lambda t: seen.append(curve(t)) or seen[-1], f, s0, Q, EvalCounter())
+    assert got == want
+    assert bits(asked) == bits(seen)
+
+
 class TestSamplesFromEdges:
-    """``initial_samples`` and ``ipsr`` compute points from the edges,
-    float for float as ``curve(t)`` does, and never call the curve."""
+    """``ipsr`` computes points from the edges, float for float as
+    ``curve(t)`` does, never calls the curve, and takes any ``s0`` from 0
+    to the perimeter that holds every vertex parameter."""
 
     def test_initial_points_are_the_curve_points(self):
         rng = random.Random(7411)
         for curve in sampled_curves(rng, 600):
+            # One root far outside: few insertions after the initial samples.
+            x0, y0, x1, y1 = envelope(curve.region)
+            f = Polynomial((-complex(x1 + 10 * (x1 - x0), y1), 1))
             s0 = initial_samples(curve)
-            assert curve.initial[0] == s0
-            assert bits(curve.initial[1]) == bits(curve(t) for t in s0)
+            _, asked = ipsr_asked(curve, f, s0, 1e-3 * (x1 - x0))
+            assert bits(asked[: len(s0)]) == bits(curve(t) for t in s0)
 
     def test_midpoints_are_the_curve_points(self, monkeypatch):
         rng = random.Random(7412)
@@ -618,38 +667,54 @@ class TestSamplesFromEdges:
         kinds = {Normal: 0, SingularError: 0}
         inserted = 0
         for curve in sampled_curves(rng, 45):
-            x0, y0, x1, y1 = envelope(curve.region)
-            size = max(x1 - x0, y1 - y0)
-            # Roots inside, near the border and outside the region.
-            margin = size / 4
-            roots = [
-                complex(rng.uniform(x0 - margin, x1 + margin), rng.uniform(y0 - margin, y1 + margin))
-                for _ in range(rng.randint(1, 4))
-            ]
-            f = poly_from_roots(roots)
-            Q = size * 10 ** rng.uniform(-4, -3)
+            f, Q = roots_around(rng, curve)
             s0 = initial_samples(curve)
             curve_calls.clear()
-            ctr = EvalCounter(samples=AskedDict())
-            got = ipsr(curve, f, s0, Q, ctr)
+            got, asked = ipsr_asked(curve, f, s0, Q)
             assert curve_calls == []
-            # The scan samples every parameter through the curve, in the
-            # order in which ipsr looks its points up.
-            seen = []
-            want = ipsr_scan(lambda t: seen.append(curve(t)) or seen[-1], f, s0, Q, EvalCounter())
-            assert got == want
-            assert bits(ctr.samples.asked) == bits(seen)
+            assert_scan_agrees(curve, f, s0, Q, got, asked)
             kinds[type(got)] += 1
             inserted += got.insertions
         assert kinds[Normal] >= 100 and kinds[SingularError] >= 20
         assert inserted > 1000
 
-    def test_parameters_other_than_the_initial_samples_refused(self):
+    def test_other_valid_s0_agree_with_the_scan(self):
+        # The bare vertex parameters, and the padded ones with some
+        # interior midpoints added.
+        rng = random.Random(7413)
+        kinds = {Normal: 0, SingularError: 0}
+        for curve in sampled_curves(rng, 30):
+            f, Q = roots_around(rng, curve)
+            padded = initial_samples(curve)
+            mids = [0.5 * (a + b) for a, b in zip(padded, padded[1:]) if rng.random() < 0.5]
+            for s0 in (curve.vertex_params, sorted(padded + mids)):
+                got, asked = ipsr_asked(curve, f, s0, Q)
+                assert_scan_agrees(curve, f, s0, Q, got, asked)
+                kinds[type(got)] += 1
+        assert kinds[Normal] >= 200 and kinds[SingularError] >= 30
+
+    def test_s0_skipping_a_vertex_refused(self):
         curve = boundary(rect(0, 0, 1, 1))
-        f = Polynomial((1, 0, 0, 1))
-        with pytest.raises(ValueError, match="initial_samples"):
-            ipsr(curve, f, [0.0, 2.0, 4.0], 1e-3, EvalCounter())
         s0 = initial_samples(curve)
-        s0[1] = 0.25
-        with pytest.raises(ValueError, match="initial_samples"):
-            ipsr(curve, f, s0, 1e-3, EvalCounter())
+        s0.remove(2.0)
+        for bad, skipped in (([0.0, 2.0, 4.0], "1.0"), (s0, "2.0")):
+            with pytest.raises(ValueError, match=f"skips the vertex parameter {skipped}$"):
+                ipsr(curve, Polynomial((1, 0, 0, 1)), bad, 1e-3, EvalCounter())
+
+    def test_s0_not_ending_at_the_perimeter_refused(self):
+        curve = boundary(rect(0, 0, 1, 1))
+        s0 = initial_samples(curve)
+        for bad in (s0[:-1], s0[:-1] + [3.75], s0 + [4.5]):
+            with pytest.raises(ValueError, match="s0 must end at the perimeter 4.0"):
+                ipsr(curve, Polynomial((1, 0, 0, 1)), bad, 1e-3, EvalCounter())
+
+    def test_initial_samples_returns_a_fresh_list_and_writes_nothing(self):
+        rng = random.Random(7414)
+        for curve in sampled_curves(rng, 6):
+            before = [getattr(curve, name) for name in BoundaryCurve.__slots__]
+            first = initial_samples(curve)
+            first.append(math.inf)
+            second = initial_samples(curve)
+            assert second is not first and second == first[:-1]
+            after = [getattr(curve, name) for name in BoundaryCurve.__slots__]
+            assert all(map(operator.is_, after, before))
