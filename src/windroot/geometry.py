@@ -108,26 +108,27 @@ class ConvexRegion:
 
     @classmethod
     def from_json(cls, data: dict) -> "ConvexRegion":
-        """Build from ``{"vertices": [[x, y], ...]}`` or ``{"rect": [x0, y0, x1, y1]}``."""
+        """Build from ``{"vertices": [[x, y], ...]}`` or ``{"rect": [x0, y0, x1, y1]}``.
+
+        Data whose numbers cannot be read raises ValueError "malformed
+        region JSON: ..."; numbers that form no valid region keep the
+        geometric refusal (zero width, too few vertices, ...).
+        """
         try:
-            if "rect" in data:
+            rect = "rect" in data
+            if rect:
                 x0, y0, x1, y1 = (float(c) for c in data["rect"])
-                x0, x1 = min(x0, x1), max(x0, x1)
-                y0, y1 = min(y0, y1), max(y0, y1)
-                if x0 == x1 or y0 == y1:
-                    raise ValueError("rectangle has zero width or height")
-                return cls(
-                    (
-                        complex(x0, y0),
-                        complex(x1, y0),
-                        complex(x1, y1),
-                        complex(x0, y1),
-                    )
-                )
-            pairs = data["vertices"]
-            return cls(tuple(complex(float(x), float(y)) for x, y in pairs))
-        except (KeyError, TypeError) as exc:
+            else:
+                vertices = tuple(complex(float(x), float(y)) for x, y in data["vertices"])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed region JSON: {exc}") from exc
+        if rect:
+            x0, x1 = min(x0, x1), max(x0, x1)
+            y0, y1 = min(y0, y1), max(y0, y1)
+            if x0 == x1 or y0 == y1:
+                raise ValueError("rectangle has zero width or height")
+            vertices = (complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1))
+        return cls(vertices)
 
 
 EMPTY = ConvexRegion(())

@@ -34,7 +34,7 @@ from .geometry import (
     envelope,
 )
 from .poly import EvalCounter, Polynomial, _majorant
-from .winding import SingularError, initial_samples, ipsr
+from .winding import SingularError, WindingOutcome, initial_samples, ipsr
 
 __all__ = [
     "RootBox",
@@ -120,59 +120,13 @@ def pe_budget_sharp(n0: int, n: int, accuracy: float, dr_p: float) -> float:
     )
 
 
-def _count_part(
-    part: ConvexRegion,
-    f: Polynomial,
-    q: float,
-    ctr: EvalCounter,
-    stats: RdpStats,
-) -> int | None:
-    """Root count of a cut part, or None when its boundary test fails.
-
-    Empty parts hold no roots and need no boundary test.
-    """
-    if part.is_empty:
-        return 0
-    curve = boundary(part)
+def _boundary_test(
+    curve: BoundaryCurve, f: Polynomial, q: float, ctr: EvalCounter, stats: RdpStats
+) -> WindingOutcome:
+    """Run the boundary winding test on ``curve`` and append it to ``stats.ipsr_calls``."""
     outcome = ipsr(curve, f, initial_samples(curve), q, ctr)
     stats.ipsr_calls.append((curve.perimeter, q, outcome.insertions))
-    if isinstance(outcome, SingularError):
-        return None
-    return outcome.index
-
-
-def _try_cut(
-    region: ConvexRegion,
-    axis: str,
-    f: Polynomial,
-    q: float,
-    n0: int,
-    ctr: EvalCounter,
-    stats: RdpStats,
-) -> tuple[ConvexRegion, ConvexRegion, int, int]:
-    """Cut ``region`` along ``axis`` at the first root-free trial line.
-
-    Trial offsets from the midline are 0, +2EQ, -2EQ, +4EQ, -4EQ, ...
-    with E = n/sin(pi/8), n the degree of ``f``; a line is accepted when
-    the boundary winding test returns normally on both parts.  At most
-    n0+2 offsets are tried; exhausting them raises SubdivisionFailedError.
-    """
-    step = 2.0 * f.degree / SIN_PI_8 * q
-    for k in range(n0 + 2):
-        lam = 0.0 if k == 0 else math.ceil(k / 2) * step * (1 if k % 2 else -1)
-        a, b = cut(region, axis, lam)
-        ca = _count_part(a, f, q, ctr, stats)
-        if ca is None:
-            continue
-        cb = _count_part(b, f, q, ctr, stats)
-        if cb is None:
-            continue
-        stats.offsets.append(lam)
-        return a, b, ca, cb
-    raise SubdivisionFailedError(
-        f"no root-free {axis} cut line after {n0 + 2} trial offsets "
-        f"(region envelope {envelope(region)})"
-    )
+    return outcome
 
 
 def divide(
@@ -191,14 +145,42 @@ def divide(
     Returns the parts in the order (top-right, top-left, bottom-right,
     bottom-left), some possibly empty with count 0, and their root
     counts at guard width ``q``; the counts sum to the region's own.
-    Every boundary test is appended to ``stats.ipsr_calls`` and every
-    accepted cut offset to ``stats.offsets``.  Raises
-    SubdivisionFailedError when no trial line clears the roots; ``n0``,
-    the initial region's root count, bounds the trials (see ``_try_cut``).
+    Each cut is made at the first root-free trial line.  Trial offsets
+    from the midline are 0, +2EQ, -2EQ, +4EQ, -4EQ, ... with
+    E = n/sin(pi/8), n the degree of ``f``; a line is accepted when the
+    boundary winding test returns normally on both parts, tested in
+    order (an empty part holds no roots and needs no test).  Every
+    boundary test is appended to ``stats.ipsr_calls`` and every accepted
+    offset to ``stats.offsets``.  At most n0+2 offsets are tried per
+    cut, ``n0`` the initial region's root count; exhausting them raises
+    SubdivisionFailedError.
     """
-    top, bottom, _, _ = _try_cut(region, "horizontal", f, q, n0, ctr, stats)
-    left_t, right_t, cl_t, cr_t = _try_cut(top, "vertical", f, q, n0, ctr, stats)
-    left_b, right_b, cl_b, cr_b = _try_cut(bottom, "vertical", f, q, n0, ctr, stats)
+    step = 2.0 * f.degree / SIN_PI_8 * q
+
+    def split(reg: ConvexRegion, axis: str):
+        for k in range(n0 + 2):
+            lam = 0.0 if k == 0 else math.ceil(k / 2) * step * (1 if k % 2 else -1)
+            parts = cut(reg, axis, lam)
+            counts = []
+            for part in parts:
+                if part.is_empty:
+                    counts.append(0)
+                    continue
+                outcome = _boundary_test(boundary(part), f, q, ctr, stats)
+                if isinstance(outcome, SingularError):
+                    break
+                counts.append(outcome.index)
+            else:
+                stats.offsets.append(lam)
+                return parts, counts
+        raise SubdivisionFailedError(
+            f"no root-free {axis} cut line after {n0 + 2} trial offsets "
+            f"(region envelope {envelope(reg)})"
+        )
+
+    (top, bottom), _ = split(region, "horizontal")
+    (left_t, right_t), (cl_t, cr_t) = split(top, "vertical")
+    (left_b, right_b), (cl_b, cr_b) = split(bottom, "vertical")
     return (right_t, left_t, right_b, left_b), (cr_t, cl_t, cr_b, cl_b)
 
 
@@ -291,8 +273,7 @@ def rdp(
     q = choose_q(a, n, n)
     _check_resolution(curve, q)
     _check_range(f, region)
-    outcome = ipsr(curve, f, initial_samples(curve), q, ctr)
-    stats.ipsr_calls.append((curve.perimeter, q, outcome.insertions))
+    outcome = _boundary_test(curve, f, q, ctr, stats)
     if isinstance(outcome, SingularError):
         raise InitialRegionSingularError(outcome.t, outcome.guarantee)
     n0 = outcome.index

@@ -335,6 +335,9 @@ def ipsr(
     if ts[-1] != curve.perimeter:
         raise ValueError(f"s0 must end at the perimeter {curve.perimeter!r}")
     cum, vertices, edges = curve.vertex_params, curve.points, curve.edges
+    skipped = set(cum).difference(ts)
+    if skipped:
+        raise ValueError(f"s0 skips the vertex parameter {min(skipped)!r}")
     df = derivative(f)
     # The name lookups stay global, once per call, so that wrappers
     # installed on this module's ``eval`` and ``sector_of`` see every call.
@@ -343,7 +346,8 @@ def ipsr(
     guarantee = math.sqrt(2.0) / (4.0 * Q)
     # Walk s0 with the vertex parameters, v indexing the next vertex: t,
     # and the pair it ends, lie on edges[v - 1] (never read for t = 0).
-    # As s0 ends at the perimeter, v stays in range.  Each sample's record
+    # As s0 holds every vertex parameter, t never passes cum[v], and as it
+    # ends at the perimeter, v stays in range.  Each sample's record
     # [image, sector, |image|, |f'| or None] comes from the window, or on
     # a miss from a metered evaluation.  As in the scan, every initial
     # sample is evaluated before the zero check.
@@ -356,11 +360,9 @@ def ipsr(
         if t == cv:
             p = vertices[v]
             v += 1
-        elif t < cv:
+        else:
             c, a, length, d = edge
             p = a + ((t - c) / length) * d
-        else:
-            raise ValueError(f"s0 skips the vertex parameter {cv!r}")
         ps.append(p)
         es.append(edge)
         r = samples.get(p)

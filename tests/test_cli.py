@@ -21,6 +21,7 @@ from windroot import (
     NonTerminationError,
     Polynomial,
     RootBox,
+    SingularError,
 )
 from windroot.cli import _ParseError, _verify_boxes, main, parse_poly_shorthand
 from windroot.geometry import diam_rect, envelope
@@ -361,6 +362,24 @@ class TestRuns:
             f"{count} roots for degree 3 (region envelope (-2.0, -2.0, 2.0, 2.0))\n"
         )
 
+    def test_no_root_free_cut_line_exits_three(self, monkeypatch):
+        # Every boundary test after the initial one reports a singular
+        # boundary, so the first cut runs out of trial offsets.
+        rdp_module = importlib.import_module("windroot.rdp")
+        ipsr = rdp_module.ipsr
+        calls = []
+
+        def fail_after_first(*args):
+            calls.append(args)
+            return ipsr(*args) if len(calls) == 1 else SingularError(0.0, 1.0, 0)
+
+        monkeypatch.setattr(rdp_module, "ipsr", fail_after_first)
+        code, out, err = run_cli(CUBE_ARGS)
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("windroot: no root-free horizontal cut line after 5 trial offsets")
+
     def test_verify_accepts_clustered_roots_and_flags_a_tampered_count(self):
         # Two clusters of three roots 1e-4 apart, boxes of 1e-5: double
         # precision cannot place the reference roots inside the right
@@ -604,3 +623,42 @@ class TestBadInvocations:
     def test_degenerate_region(self):
         code, _, _ = run_cli(["--poly", "z", "--rect", "0", "0", "0", "1", "--accuracy", "1"])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"rect": [0, 0, 1]}', "malformed region JSON: not enough values to unpack"),
+            ('{"rect": ["a", 0, 1, 1]}', "malformed region JSON: could not convert"),
+            ('{"vertices": [[0, 0, 5], [1, 0], [1, 1]]}', "malformed region JSON: too many values"),
+            ('{"rect": [0, 0, 1, 1' + "0" * 400 + "]}", "malformed region JSON: int too large"),
+            ("rect 0 0 1 1", "malformed region JSON: Expecting value"),
+            ("{}", "malformed region JSON: 'vertices'"),
+            ('{"vertices": 3}', "malformed region JSON: 'int' object is not iterable"),
+            ('{"vertices": [[0, 0], [1, 0]]}', "a nonempty region needs at least 3 vertices"),
+            ('{"vertices": [[0, 0], [1e999, 0], [1, 1]]}', "non-finite vertex (inf+0j)"),
+            ('{"rect": [0, 0, 0, 1]}', "rectangle has zero width or height"),
+        ],
+        ids=[
+            "three-numbers",
+            "not-a-number",
+            "three-coordinates",
+            "beyond-float-range",
+            "not-json",
+            "missing-key",
+            "vertices-not-a-list",
+            "two-vertices",
+            "infinite-vertex",
+            "zero-width",
+        ],
+    )
+    def test_bad_region_file_is_one_error_line(self, tmp_path, text, message):
+        path = tmp_path / "region.json"
+        path.write_text(text)
+        code, out, err = run_cli(
+            ["--poly", "z", "--region-file", str(path), "--accuracy", "1"]
+        )
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert err.startswith(f"windroot: error: {message}")

@@ -13,6 +13,8 @@ from windroot import (
     InitialRegionSingularError,
     Normal,
     Polynomial,
+    SingularError,
+    SubdivisionFailedError,
     WindrootError,
     choose_q,
     contains,
@@ -140,6 +142,91 @@ class TestDivide:
             for p in parts
         )
         assert le_rel(area, 16.0) and le_rel(16.0, area)
+
+    def test_second_part_failing_moves_the_line_to_plus_one_step(self, monkeypatch):
+        # Roots clear of both midlines: only the wrapper makes the first
+        # trial's bottom part fail, after its top part tested normal.
+        rdp_module = importlib.import_module("windroot.rdp")
+        boundary_test = rdp_module.ipsr
+        calls = []
+
+        def second_fails(curve, f, s0, q, ctr):
+            calls.append(curve.perimeter)
+            if len(calls) == 2:
+                return SingularError(0.0, 1.0, 4321)
+            return boundary_test(curve, f, s0, q, ctr)
+
+        monkeypatch.setattr(rdp_module, "ipsr", second_fails)
+        f = poly_from_roots([0.7 + 0.6j, -0.8 - 0.5j])
+        q = choose_q(1e-3, 2, 2)
+        stats = RdpStats()
+        _, counts = divide(rect(-2, -2, 2, 2), f, q, 2, EvalCounter(), stats)
+        assert counts == (1, 0, 0, 1)
+        step = 2.0 * 2 / SIN_PI_8 * q
+        assert stats.offsets == [step, 0.0, 0.0]
+        # Two tests per horizontal trial, then two per vertical cut.
+        assert len(stats.ipsr_calls) == len(calls) == 8
+        assert stats.ipsr_calls[1] == (12.0, q, 4321)
+
+
+def _initial_test_only(monkeypatch):
+    """Let the first boundary test run and fail every later one; return the call list."""
+    rdp_module = importlib.import_module("windroot.rdp")
+    boundary_test = rdp_module.ipsr
+    calls = []
+
+    def fail_after_first(curve, f, s0, q, ctr):
+        calls.append(curve.perimeter)
+        if len(calls) == 1:
+            return boundary_test(curve, f, s0, q, ctr)
+        return SingularError(0.0, 1.0, 0)
+
+    monkeypatch.setattr(rdp_module, "ipsr", fail_after_first)
+    return calls
+
+
+class TestSubdivisionFailures:
+    def test_trial_offsets_run_out(self, monkeypatch):
+        calls = _initial_test_only(monkeypatch)
+        n0 = 3
+        with pytest.raises(SubdivisionFailedError) as err:
+            rdp(rect(-2, -2, 2, 2), CUBE, 1e-3)
+        assert str(err.value) == (
+            f"no root-free horizontal cut line after {n0 + 2} trial offsets "
+            "(region envelope (-2.0, -2.0, 2.0, 2.0))"
+        )
+        # Each trial stops at its first failing part.
+        assert len(calls) == 1 + (n0 + 2)
+
+    def test_depth_limit(self, monkeypatch):
+        rdp_module = importlib.import_module("windroot.rdp")
+
+        def unshrunk(region, f, q, n0, ctr, stats):
+            return (region, EMPTY, EMPTY, EMPTY), (n0, 0, 0, 0)
+
+        monkeypatch.setattr(rdp_module, "divide", unshrunk)
+        region = rect(-2, -2, 2, 2)
+        depth_limit = math.ceil(math.log2(diam_rect(region) / 1e-3)) + 2
+        assert depth_limit == 15
+        with pytest.raises(SubdivisionFailedError) as err:
+            rdp(region, CUBE, 1e-3)
+        assert str(err.value) == (
+            f"region still wider than the accuracy at level {depth_limit} "
+            f"(diam_rect {diam_rect(region)!r} >= 0.001)"
+        )
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=SubdivisionFailedError,
+        reason="ROADMAP item 1: with n0 = 1 a shifted cut keeps about 0.71A per "
+        "axis, and a Normal part certifies no distance from the roots",
+    )
+    @pytest.mark.parametrize(
+        "c, accuracy", [(0, 1e-2), (-1, 3e-2), (0.3 + 0.7j, 1e-5)]
+    )
+    def test_degree_one_root_isolated(self, c, accuracy):
+        boxes, _ = rdp(rect(-2, -2, 2, 2), Polynomial((-c, 1)), accuracy)
+        assert [b.count for b in boxes] == [1]
 
 
 class TestRdp:

@@ -698,8 +698,12 @@ class TestSamplesFromEdges:
         s0 = initial_samples(curve)
         s0.remove(2.0)
         for bad, skipped in (([0.0, 2.0, 4.0], "1.0"), (s0, "2.0")):
+            ctr = EvalCounter()
             with pytest.raises(ValueError, match=f"skips the vertex parameter {skipped}$"):
-                ipsr(curve, Polynomial((1, 0, 0, 1)), bad, 1e-3, EvalCounter())
+                ipsr(curve, Polynomial((1, 0, 0, 1)), bad, 1e-3, ctr)
+            # Refused before any sample is evaluated or stored.
+            assert ctr.evaluations == 0
+            assert ctr.samples == {}
 
     def test_s0_not_ending_at_the_perimeter_refused(self):
         curve = boundary(rect(0, 0, 1, 1))
