@@ -70,11 +70,24 @@ def _split_terms(text: str) -> list[str]:
     return terms
 
 
+# Highest degree the shorthand accepts; see parse_poly_shorthand.
+_MAX_DEGREE = 10**7
+
+
 def parse_poly_shorthand(text: str) -> Polynomial:
     """Parse expressions like ``z^3 - 2.5z + 1`` into a polynomial.
 
     Real integer/float coefficients, a single variable ``z``, and the
     operators ``+ - ^`` (with optional ``*`` between coefficient and z).
+
+    A degree above ``_MAX_DEGREE`` is refused before its coefficient tuple
+    is built, since ``rdp`` refuses every region at such a degree anyway.
+    Its first guard width is q = choose_q(a, n, n) = a*sin(pi/8) /
+    (4*sqrt(2)*n^2) with a <= diam_rect(region) <= P/2, P the perimeter
+    (the edges' x-extents add up to 2*diam_h and their y-extents to
+    2*diam_v, so P >= 2*hypot(diam_h, diam_v)).  ``_check_resolution``
+    requires q >= 4u with u >= ulp(P) > P*2^-53.  Both hold only if
+    n^2 < sin(pi/8) * 2^53 / (32*sqrt(2)), about 7.6e13: n below 8.8e6.
     """
     compact = text.replace(" ", "")
     if not compact:
@@ -88,8 +101,16 @@ def parse_poly_shorthand(text: str) -> Polynomial:
         coeff = float(m.group(2)) if m.group(2) is not None else 1.0
         if m.group(3) is None:
             k = 0
+        elif m.group(4) is None:
+            k = 1
         else:
-            k = int(m.group(4)) if m.group(4) is not None else 1
+            exponent = m.group(4).lstrip("0") or "0"
+            if len(exponent) > len(str(_MAX_DEGREE)) or int(exponent) > _MAX_DEGREE:
+                raise _ParseError(
+                    f"polynomial degree above {_MAX_DEGREE}: at such a degree the "
+                    "guard width lies below float resolution on every region"
+                )
+            k = int(exponent)
         degrees[k] = degrees.get(k, 0.0) + sign * coeff
     top = max(degrees)
     coeffs = tuple(complex(degrees.get(k, 0.0)) for k in range(top + 1))

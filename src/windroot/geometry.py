@@ -6,16 +6,25 @@ diameters, cuts them with horizontal/vertical lines offset from the
 midline between supporting lines, parameterizes their border by arc
 length, and classifies nonzero complex values into the eight half-open
 sectors of angle pi/4 used by the winding-number tests.
+
+A cut part reaches its boundary test in one pass per step: ``cut`` reads
+the parent's ``envelope`` once, for the cut level and the merge
+tolerance, and merges and measures each part in the part's own list;
+``ConvexRegion`` checks the part in one pass over its edges;
+``BoundaryCurve`` takes one pass over the vertices for its start and one
+over the edges for each edge's start parameter, length and direction;
+and ``winding.initial_samples`` and ``winding.ipsr`` each walk the vertex
+parameters once (see there).  Where two steps compute an edge's vector
+or length, they do it by the same subtraction, so both get the same
+float.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import operator
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .errors import SingularPointError
 
@@ -50,11 +59,9 @@ _CONVEXITY_RTOL = 1e-9
 # cut direction) collapse to the empty region, and vertices closer than
 # this are merged.
 _SLIVER_RTOL = 1e-14
-# Sort key of a complex number: real part first, then imaginary part.
-_LEXICOGRAPHIC = operator.attrgetter("real", "imag")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ConvexRegion:
     """Convex polygon with vertices in counterclockwise order.
 
@@ -62,13 +69,15 @@ class ConvexRegion:
     module constant ``EMPTY``); all its diameters are zero.  Nonempty
     regions need at least three pairwise-distinct consecutive vertices,
     counterclockwise orientation, and convexity (collinear vertices are
-    tolerated, reflex ones are not).
+    tolerated, reflex ones are not).  Construction stores ``vertices``, any
+    iterable of finite numbers, as a tuple of complex and checks the rest
+    in one pass over the edges, for cut parts too.
     """
 
     vertices: tuple[complex, ...]
 
-    def __post_init__(self):
-        vertices = tuple(map(complex, self.vertices))
+    def __init__(self, vertices):
+        vertices = tuple(map(complex, vertices))
         if not all(map(cmath.isfinite, vertices)):
             bad = next(v for v in vertices if not cmath.isfinite(v))
             raise ValueError(f"non-finite vertex {bad!r}")
@@ -80,10 +89,13 @@ class ConvexRegion:
         # One pass over the edges, from vertex i to i+1 for i = 0, 1, ...:
         # e2 is the current edge, e1 the one before it.  The area is summed
         # relative to the first vertex (untranslated, the products of
-        # coordinates far larger than the polygon swamp it), in that order.
+        # coordinates far larger than the polygon swamp it), in that order,
+        # from a = v_i - origin and b = v_{i+1} - origin.  Each vector's
+        # coordinates are read once and carried to the next vertex.
         origin = prev = vertices[0]
-        a = prev - origin
+        ax = ay = 0.0  # a at vertex 0
         e1 = origin - vertices[-1]
+        e1x, e1y = e1.real, e1.imag
         area2 = 0.0
         turns = []  # (cross product, e1, e2) at each vertex turning clockwise
         for v in vertices[1:] + vertices[:1]:
@@ -91,11 +103,14 @@ class ConvexRegion:
             if not e2:
                 raise ValueError(f"repeated consecutive vertex {prev!r}")
             b = v - origin
-            area2 += a.real * b.imag - b.real * a.imag
-            cross = e1.real * e2.imag - e1.imag * e2.real
+            bx, by = b.real, b.imag
+            area2 += ax * by - bx * ay
+            e2x, e2y = e2.real, e2.imag
+            cross = e1x * e2y - e1y * e2x
             if cross < 0.0:
                 turns.append((cross, e1, e2))
-            prev, a, e1 = v, b, e2
+            prev, ax, ay = v, bx, by
+            e1, e1x, e1y = e2, e2x, e2y
         if area2 <= 0.0:
             raise ValueError("vertices must wind counterclockwise")
         for cross, e1, e2 in turns:
@@ -152,16 +167,35 @@ def diam_v(region: ConvexRegion) -> float:
 
 def diam_rect(region: ConvexRegion) -> float:
     """Rectangular diameter sqrt(diam_h^2 + diam_v^2); bounds the classical one."""
-    return math.hypot(diam_h(region), diam_v(region))
+    if region.is_empty:
+        return 0.0
+    x0, y0, x1, y1 = envelope(region)
+    return math.hypot(x1 - x0, y1 - y0)
 
 
 def envelope(region: ConvexRegion) -> tuple[float, float, float, float]:
-    """Axis-aligned envelope (x0, y0, x1, y1) of a nonempty region."""
-    if region.is_empty:
+    """Axis-aligned envelope (x0, y0, x1, y1) of a nonempty region.
+
+    One pass over the vertices; each bound is the first vertex coordinate
+    that attains it, as ``min`` and ``max`` would return.
+    """
+    vs = region.vertices
+    if not vs:
         raise ValueError("empty region has no envelope")
-    xs = [v.real for v in region.vertices]
-    ys = [v.imag for v in region.vertices]
-    return min(xs), min(ys), max(xs), max(ys)
+    x0 = x1 = vs[0].real
+    y0 = y1 = vs[0].imag
+    for v in vs:
+        x = v.real
+        if x < x0:
+            x0 = x
+        elif x > x1:
+            x1 = x
+        y = v.imag
+        if y < y0:
+            y0 = y
+        elif y > y1:
+            y1 = y
+    return x0, y0, x1, y1
 
 
 def contains(region: ConvexRegion, z: complex, tol: float = 0.0) -> bool:
@@ -179,24 +213,33 @@ def contains(region: ConvexRegion, z: complex, tol: float = 0.0) -> bool:
     return True
 
 
-def _finish_part(
-    raw: list[complex], horizontal: bool, parent_dr: float
-) -> ConvexRegion:
-    """Merge near-coincident vertices and collapse slivers to EMPTY."""
-    tol = _SLIVER_RTOL * parent_dr
-    pts: list[complex] = []
-    for p in raw:
-        if pts and abs(p - pts[-1]) <= tol:
-            continue
-        pts.append(p)
+def _finish_part(pts: list[complex], horizontal: bool, tol: float) -> ConvexRegion:
+    """Merge near-coincident vertices in ``pts`` itself; collapse slivers to EMPTY.
+
+    A vertex within ``tol`` of the last one kept is dropped, and so is a
+    last vertex within ``tol`` of the first.
+    """
+    kept = 0
+    for p in pts:
+        if abs(p - pts[kept]) > tol:
+            kept += 1
+            pts[kept] = p
+    del pts[kept + 1 :]
     while len(pts) >= 2 and abs(pts[0] - pts[-1]) <= tol:
         pts.pop()
     if len(pts) < 3:
         return EMPTY
-    coords = [p.imag if horizontal else p.real for p in pts]
-    if max(coords) - min(coords) < tol:
+    # The part's extent across the cut line, in one pass.
+    lo = hi = pts[0].imag if horizontal else pts[0].real
+    for p in pts:
+        c = p.imag if horizontal else p.real
+        if c < lo:
+            lo = c
+        elif c > hi:
+            hi = c
+    if hi - lo < tol:
         return EMPTY
-    return ConvexRegion(tuple(pts))
+    return ConvexRegion(pts)
 
 
 def cut(
@@ -209,23 +252,24 @@ def cut(
     returns (left, right).  The midline lies halfway between the two
     supporting lines perpendicular to the cut axis.  The parts partition
     the region up to the shared cut segment (shared vertices are
-    bit-identical); a part that degenerates is the empty region.  One
-    pair of coordinate lists gives the cut level and the parent's
+    bit-identical); a part that degenerates is the empty region.  The
+    parent's envelope, read once, gives the cut level and the parent's
     ``diam_rect``, which sets the tolerance for merging vertices and for
     collapsing slivers.
     """
     if axis not in ("horizontal", "vertical"):
         raise ValueError(f"axis must be 'horizontal' or 'vertical', got {axis!r}")
-    if region.is_empty:
+    vs = region.vertices
+    if not vs:
         return EMPTY, EMPTY
     horizontal = axis == "horizontal"
-    vs = region.vertices
-    xs = [v.real for v in vs]
-    ys = [v.imag for v in vs]
-    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+    x0, y0, x1, y1 = envelope(region)
     level = ((y0 + y1) if horizontal else (x0 + x1)) / 2.0 + lam
-    parent_dr = math.hypot(x1 - x0, y1 - y0)  # diam_rect(region)
-    ds = [c - level for c in (ys if horizontal else xs)]
+    tol = _SLIVER_RTOL * math.hypot(x1 - x0, y1 - y0)  # of diam_rect(region)
+    if horizontal:
+        ds = [v.imag - level for v in vs]
+    else:
+        ds = [v.real - level for v in vs]
 
     upper: list[complex] = []  # y >= level side (top), or x >= level (right)
     lower: list[complex] = []  # y <= level side (bottom), or x <= level (left)
@@ -243,8 +287,8 @@ def cut(
             upper.append(p)
             lower.append(p)
 
-    up = _finish_part(upper, horizontal, parent_dr)
-    lo = _finish_part(lower, horizontal, parent_dr)
+    up = _finish_part(upper, horizontal, tol)
+    lo = _finish_part(lower, horizontal, tol)
     return (up, lo) if horizontal else (lo, up)
 
 
@@ -265,24 +309,45 @@ class BoundaryCurve:
     ``a + ((t - c) / length) * d``, the arithmetic of ``__call__``, so a
     caller that knows a parameter's edge can compute its point without
     the range check and the search.
+
+    Construction takes one pass over the vertices, for the start, and
+    one over the edges, for each edge's direction, length and start
+    parameter.  The region's own check subtracts the same vertices and
+    keeps nothing: holding its edge vectors for the curve would cost
+    memory for every region a run keeps and save no time.
     """
 
     __slots__ = ("region", "perimeter", "edges", "vertex_params", "points")
 
     def __init__(self, region: ConvexRegion):
-        if region.is_empty:
-            raise ValueError("empty region has no boundary curve")
         vs = region.vertices
-        start = vs.index(min(vs, key=_LEXICOGRAPHIC))
-        pts = vs[start:] + vs[:start] + (vs[start],)
-        ds = list(map(operator.sub, pts[1:], pts))
-        lens = list(map(abs, ds))
-        cum = tuple(accumulate(lens, initial=0.0))
+        if not vs:
+            raise ValueError("empty region has no boundary curve")
+        start = 0  # index of the lexicographically smallest vertex (lx, ly)
+        lx, ly = vs[0].real, vs[0].imag
+        for i, v in enumerate(vs):
+            x = v.real
+            if x < lx or x == lx and v.imag < ly:
+                start, lx, ly = i, x, v.imag
+        pts = vs[start:] + vs[: start + 1]
+        # One pass over the edges: direction, length and start parameter,
+        # the parameter summed edge by edge from 0.
+        c = 0.0
+        cum = [c]
+        edges = []
+        a = pts[0]
+        for b in pts[1:]:
+            d = b - a
+            length = abs(d)
+            edges.append((c, a, length, d))
+            c += length
+            cum.append(c)
+            a = b
         self.region = region
         self.points = pts
-        self.vertex_params = cum
-        self.perimeter = cum[-1]
-        self.edges = tuple(zip(cum, pts, lens, ds))
+        self.vertex_params = tuple(cum)
+        self.perimeter = c
+        self.edges = tuple(edges)
 
     def __call__(self, t: float) -> complex:
         if not 0.0 <= t <= self.perimeter:

@@ -9,7 +9,6 @@ repeats from its cache.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -73,7 +72,9 @@ class EvalCounter:
     older level.  A record is made right after a metered ``eval`` of its
     point, so a record hit is a cache hit and skipping the ``eval``
     changes neither ``cache`` nor ``evaluations``.  Derivative
-    evaluations are not metered.
+    evaluations are not metered.  ``derivative`` holds f', built by the
+    first ``ipsr`` call of the run, so that no later boundary test builds
+    it again or finds it by hashing the coefficients.
 
     The window is not run-wide because nearly every repeated point
     recurs in its own level or the next (a cut part shares its boundary
@@ -91,6 +92,9 @@ class EvalCounter:
     cache: dict[complex, complex] = field(default_factory=dict)
     samples: dict[complex, list] = field(default_factory=dict)
     previous_samples: dict[complex, list] = field(default_factory=dict)
+    derivative: Polynomial | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def evaluations(self) -> int:
@@ -139,12 +143,12 @@ def eval(f: Polynomial, z: complex, ctr: EvalCounter | None = None) -> complex:
     return value
 
 
-@functools.lru_cache(maxsize=1)
 def derivative(f: Polynomial) -> Polynomial:
     """Return f' by the power rule; requires degree >= 1.
 
-    The last result is cached: a run asks for the derivative of the same
-    polynomial once per boundary test.
+    Nothing is cached here: ``winding.ipsr`` keeps f' on the run's
+    ``EvalCounter`` (see ``EvalCounter.derivative``), so a run builds it
+    once and no boundary test hashes the coefficients to find it.
     """
     if f.degree < 1:
         raise ValueError("derivative requires a polynomial of degree >= 1")

@@ -299,7 +299,8 @@ def rdp(
         for reg, cnt in frontier:
             if cnt == 0:
                 continue
-            if diam_rect(reg) < accuracy:
+            width = dr if level == 0 else diam_rect(reg)  # level 0: the region alone
+            if width < accuracy:
                 # The count computed when this piece was created is
                 # reused; recounting would repeat identical memoized
                 # evaluations and return the same value.
@@ -308,7 +309,7 @@ def rdp(
             if level >= depth_limit:
                 raise SubdivisionFailedError(
                     f"region still wider than the accuracy at level {level} "
-                    f"(diam_rect {diam_rect(reg)!r} >= {accuracy!r})"
+                    f"(diam_rect {width!r} >= {accuracy!r})"
                 )
             try:
                 parts, counts = divide(reg, f, q, n0, ctr, stats)

@@ -16,10 +16,11 @@ Three refinement procedures insert samples into a closed curve:
 
 ``ips`` runs the paper's scan ``_refine`` over a ``SampleArray``.
 ``ipsr`` runs the same refinement as one depth-first loop over
-parameters, in the scan's order (see ``ipsr``), computes each boundary
-point from its edge (see ``BoundaryCurve``), and reads each sample's
-image, sector, modulus and |f'| from the counter's two-level sample
-window (see ``EvalCounter``).
+parameters, in the scan's order (see ``ipsr``), checks its initial
+parameters in the same walk that computes each initial point from its
+edge (see ``BoundaryCurve``), and reads each sample's image, sector,
+modulus and |f'| from the counter's two-level sample window (see
+``EvalCounter``).
 """
 
 from __future__ import annotations
@@ -312,6 +313,14 @@ def ipsr(
     through a curve call, and every point equals the curve's, float for
     float.
 
+    Three passes follow the endpoint checks.  The first walks ``s0`` with
+    the vertex parameters: it computes each initial point and its edge and
+    refuses, at the first parameter where it sees one, an ``s0`` that does
+    not increase strictly or that passes a vertex parameter, so nothing is
+    looked up or evaluated for an ``s0`` it refuses.  The second reads or
+    makes each initial sample's record.  The third is the refinement.
+    f' is built once per run and kept on ``ctr`` (``EvalCounter.derivative``).
+
     Each initial pair is refined to completion, left half before right
     half, before the next one starts.  That is the order in which the
     ``_refine`` scan with ``pred_p``/``pred_q2`` visits pairs: whether a
@@ -331,40 +340,53 @@ def ipsr(
     """
     if not 0.0 < Q < math.inf:
         raise ValueError("Q must be positive and finite")
-    ts = _checked_params(s0)
-    if ts[-1] != curve.perimeter:
-        raise ValueError(f"s0 must end at the perimeter {curve.perimeter!r}")
     cum, vertices, edges = curve.vertex_params, curve.points, curve.edges
-    skipped = set(cum).difference(ts)
-    if skipped:
-        raise ValueError(f"s0 skips the vertex parameter {min(skipped)!r}")
-    df = derivative(f)
+    if not s0 or s0[0] != 0.0:
+        raise ValueError("first parameter must be 0")
+    if s0[-1] != curve.perimeter:
+        raise ValueError(f"s0 must end at the perimeter {curve.perimeter!r}")
+    # Walk s0 with the vertex parameters, v indexing the next vertex: t,
+    # and the pair it ends, lie on edges[v - 1] (never read for t = 0).
+    # The walk refuses the first parameter that does not exceed the one
+    # before it or that passes the next vertex parameter; as s0 ends at the
+    # perimeter, a parameter past it (cum[v] out of range) has a smaller one
+    # after it.  So every refusal comes before any evaluation.
+    ps, es = [], []
+    ta = -1.0  # below s0[0], which is 0
+    v = 0
+    try:
+        for t in s0:
+            if not ta < t:
+                raise ValueError("parameters must be strictly increasing")
+            cv = cum[v]
+            if t == cv:
+                ps.append(vertices[v])
+                es.append(edges[v - 1])
+                v += 1
+            elif t < cv:
+                edge = edges[v - 1]
+                c, a, length, d = edge
+                ps.append(a + ((t - c) / length) * d)
+                es.append(edge)
+            else:
+                raise ValueError(f"s0 skips the vertex parameter {cv!r}")
+            ta = t
+    except IndexError:
+        raise ValueError("parameters must be strictly increasing") from None
+    df = ctr.derivative
+    if df is None:
+        df = ctr.derivative = derivative(f)
     # The name lookups stay global, once per call, so that wrappers
     # installed on this module's ``eval`` and ``sector_of`` see every call.
     feval, sector = eval, sector_of
     samples, previous_samples = ctr.samples, ctr.previous_samples
     guarantee = math.sqrt(2.0) / (4.0 * Q)
-    # Walk s0 with the vertex parameters, v indexing the next vertex: t,
-    # and the pair it ends, lie on edges[v - 1] (never read for t = 0).
-    # As s0 holds every vertex parameter, t never passes cum[v], and as it
-    # ends at the perimeter, v stays in range.  Each sample's record
-    # [image, sector, |image|, |f'| or None] comes from the window, or on
-    # a miss from a metered evaluation.  As in the scan, every initial
-    # sample is evaluated before the zero check.
-    ps, es, rs = [], [], []
+    # Each sample's record [image, sector, |image|, |f'| or None] comes from
+    # the window, or on a miss from a metered evaluation.  As in the scan,
+    # every initial sample is evaluated before the zero check.
+    rs = []
     zero = None
-    v = 0
-    for t in ts:
-        edge = edges[v - 1]
-        cv = cum[v]
-        if t == cv:
-            p = vertices[v]
-            v += 1
-        else:
-            c, a, length, d = edge
-            p = a + ((t - c) / length) * d
-        ps.append(p)
-        es.append(edge)
+    for t, p in zip(s0, ps):
         r = samples.get(p)
         if r is None:
             r = previous_samples.pop(p, None)
@@ -382,15 +404,14 @@ def ipsr(
 
     # The left sample: parameter, point, record and the record's first three
     # fields (image, sector, |image|); the right sample likewise.
-    ta, pa, ra = ts[0], ps[0], rs[0]
+    initial = zip(s0, ps, rs, es)
+    ta, pa, ra, _ = next(initial)
     wa, ka, ma, _ = ra
     index = insertions = 0
-    for j in range(1, len(ts)):
-        tb, pb, rb = ts[j], ps[j], rs[j]
+    stack = []  # right endpoints still to visit, nearest on top
+    # Every point a pair's refinement adds lies strictly inside its edge.
+    for tb, pb, rb, (c, a, length, d) in initial:
         wb, kb, mb, _ = rb
-        # Every point this pair's refinement adds lies strictly inside its edge.
-        c, a, length, d = es[j]
-        stack = []  # right endpoints still to visit, nearest on top
         while True:
             if (ka - kb) % 8 in (0, 1, 7):
                 da = ra[3]
@@ -404,7 +425,8 @@ def ipsr(
                     index += 1
                 elif ka == 0 and kb == 7:
                     index -= 1
-                ta, pa, ra, wa, ka, ma = tb, pb, rb, wb, kb, mb
+                ta, pa, ra = tb, pb, rb
+                wa, ka, ma = wb, kb, mb
                 if not stack:
                     break
                 tb, pb, rb = stack.pop()
@@ -442,7 +464,10 @@ def initial_samples(curve: BoundaryCurve) -> list[float]:
     Every polygon vertex appears as a parameter (so edges are sampled at
     least at their endpoints), long edges are subdivided uniformly, and
     both endpoints 0 and per are present.  Only parameters are returned,
-    in a new list; the curve is left as it is.
+    in a new list; the curve is left as it is.  One pass over the vertex
+    parameters pads each gap c1 - c0.  That gap, not the edge's length,
+    decides the pieces: c1 is c0 + length rounded, so the two differ in
+    the last bit on about half of all edges.
     """
     target = curve.perimeter / 8.0
     params = [0.0]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from itertools import accumulate
 
 import numpy as np
 
@@ -118,3 +119,42 @@ def min_image_modulus(f: Polynomial, curve: BoundaryCurve) -> float:
             return current if prev is None else min(current, prev)
         prev = current
         m *= 2
+
+
+def reference_curve(vertices: tuple[complex, ...]):
+    """(points, vertex_params, edges) of a region's boundary curve, from its
+    vertex tuple alone: start at the lexicographically smallest vertex, each
+    edge ``(c, a, length, d)`` with d = end - a and length = |d|, and the
+    vertex parameters as the running sum of the lengths from 0."""
+    start = min(range(len(vertices)), key=lambda i: (vertices[i].real, vertices[i].imag))
+    points = vertices[start:] + vertices[:start] + (vertices[start],)
+    ds = [b - a for a, b in zip(points, points[1:])]
+    lengths = [abs(d) for d in ds]
+    cum = tuple(accumulate(lengths, initial=0.0))
+    return points, cum, tuple(zip(cum, points, lengths, ds))
+
+
+def reference_initial_samples(cum: tuple[float, ...]) -> list[float]:
+    """The vertex parameters ``cum``, each gap wider than perimeter/8 split
+    into ceil(gap / (perimeter/8)) equal pieces, gap = c1 - c0."""
+    target = cum[-1] / 8.0
+    params = [0.0]
+    for c0, c1 in zip(cum, cum[1:]):
+        gap = c1 - c0
+        if gap > target:
+            pieces = math.ceil(gap / target)
+            params.extend(c0 + gap * (k / pieces) for k in range(1, pieces))
+        params.append(c1)
+    return params
+
+
+def float_bits(value):
+    """``value`` with every float and complex part as its exact hex string,
+    through tuples and lists: -0.0 differs from 0.0, NaN compares equal."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, complex):
+        return value.real.hex(), value.imag.hex()
+    if isinstance(value, (tuple, list)):
+        return [float_bits(v) for v in value]
+    return value

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -16,15 +17,19 @@ import pytest
 
 import windroot
 from windroot import (
+    AccuracyBelowResolutionError,
     ConvexRegion,
     NoConvergenceError,
     NonTerminationError,
     Polynomial,
     RootBox,
     SingularError,
+    boundary,
+    choose_q,
 )
-from windroot.cli import _ParseError, _verify_boxes, main, parse_poly_shorthand
+from windroot.cli import _MAX_DEGREE, _ParseError, _verify_boxes, main, parse_poly_shorthand
 from windroot.geometry import diam_rect, envelope
+from windroot.rdp import _check_resolution
 
 from support import poly_from_roots
 
@@ -65,6 +70,40 @@ class TestShorthand:
         for bad in ("", "zz", "w^2", "z^", "2**z", "z^-1"):
             with pytest.raises(_ParseError):
                 parse_poly_shorthand(bad)
+
+    def test_leading_zeros_in_the_exponent(self):
+        assert parse_poly_shorthand("z^0003+1").coeffs == (1 + 0j, 0j, 0j, 1 + 0j)
+
+    @pytest.mark.parametrize(
+        "exponent", ["99999999999999999999", "9" * 5000, str(_MAX_DEGREE + 1)]
+    )
+    def test_degree_above_the_bound_refused_before_building(self, exponent):
+        # The coefficient tuple used to grow until the process was killed;
+        # an exponent over 4300 digits raised a traceback from int().
+        started = time.perf_counter()
+        code, out, err = run_cli(
+            ["--poly", f"z^{exponent}+1", "--rect", "-1", "-1", "1", "1", "--accuracy", "1e-3"]
+        )
+        assert time.perf_counter() - started < 1.0
+        assert code == 1 and out == ""
+        assert err == (
+            f"windroot: error: polynomial degree above {_MAX_DEGREE}: at such a degree "
+            "the guard width lies below float resolution on every region\n"
+        )
+
+    def test_every_region_refuses_the_degree_bound(self):
+        # The parser's bound rests on rdp's resolution check: at degree
+        # _MAX_DEGREE the first guard width lies below 4 ulp of the
+        # perimeter even where the accuracy is as large as it can be, on a
+        # needle whose rectangular diameter nearly reaches half the
+        # perimeter, a perimeter just below a power of two, at any scale.
+        n = _MAX_DEGREE
+        for scale in (1e-6, 1.0, 1e6):
+            region = ConvexRegion.from_json({"rect": [0, 0, 1.999 * scale, 1e-9 * scale]})
+            curve = boundary(region)
+            q = choose_q(diam_rect(region), n, n)
+            with pytest.raises(AccuracyBelowResolutionError):
+                _check_resolution(curve, q)
 
 
 class TestRuns:

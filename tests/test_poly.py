@@ -1,6 +1,7 @@
 """Polynomial construction, Horner evaluation, memoization, and bounds."""
 
 import dataclasses
+import importlib
 import math
 import random
 
@@ -84,6 +85,7 @@ class TestEvalCounter:
             "cache",
             "samples",
             "previous_samples",
+            "derivative",
         ]
         ctr = EvalCounter()
         for z in (1j, 2j, 1j, 3j):
@@ -115,6 +117,33 @@ class TestDerivative:
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
             derivative(Polynomial((5,)))
+
+    def test_no_module_level_cache(self):
+        # A cache keyed by the polynomial hashed every coefficient on each
+        # boundary test; the run's counter keeps f' instead.
+        assert not hasattr(derivative, "cache_info")
+        f = Polynomial((1, 2, 3))
+        assert derivative(f) is not derivative(f)
+
+    def test_counter_keeps_the_derivative_of_its_run(self, monkeypatch):
+        from windroot import boundary, initial_samples, ipsr
+
+        winding = importlib.import_module("windroot.winding")
+        built = []
+        monkeypatch.setattr(
+            winding, "derivative", lambda f: built.append(f) or derivative(f)
+        )
+        f = Polynomial((1, 0, 0, 1))
+        ctr = EvalCounter()
+        assert ctr.derivative is None
+        for region in (rect(-2, -2, 2, 2), rect(-2, -2, 0, 0), rect(0, 0, 2, 2)):
+            curve = boundary(region)
+            ipsr(curve, f, initial_samples(curve), 1e-3, ctr)
+        assert built == [f]
+        assert ctr.derivative == derivative(f)
+        # A new counter, as each run makes, builds it again.
+        ipsr(curve, f, initial_samples(curve), 1e-3, EvalCounter())
+        assert built == [f, f]
 
     def test_matches_difference_quotient(self):
         rng = random.Random(7)

@@ -5,6 +5,7 @@ import importlib
 import math
 import operator
 import random
+import re
 
 import pytest
 
@@ -39,12 +40,15 @@ from windroot.winding import SampleArray, _refine
 from windroot.oracle import RootList, condition_number, dist_set_curve, winding_brute
 
 from support import (
+    float_bits,
     poly_from_roots,
     random_convex_polygon,
     random_lead,
     random_roots,
     random_rect_clear_of,
     rect,
+    reference_curve,
+    reference_initial_samples,
 )
 
 
@@ -572,11 +576,6 @@ class TestInitialSamples:
         assert curve(s0[0]) == curve(s0[-1])
 
 
-def bits(points) -> list[tuple[str, str]]:
-    """Each point's coordinates as exact hex strings: -0.0 differs from 0.0."""
-    return [(p.real.hex(), p.imag.hex()) for p in points]
-
-
 class AskedDict(dict):
     """A sample window that records every point ``ipsr`` looks up in it."""
 
@@ -636,7 +635,35 @@ def assert_scan_agrees(curve, f, s0, Q, got, asked):
     seen = []
     want = ipsr_scan(lambda t: seen.append(curve(t)) or seen[-1], f, s0, Q, EvalCounter())
     assert got == want
-    assert bits(asked) == bits(seen)
+    assert float_bits(asked) == float_bits(seen)
+
+
+class TestCurveAgainstReference:
+    def test_curves_and_initial_samples_match_the_vertex_formulas(self):
+        # Every region and cut part that sampled_curves draws, and parts of
+        # random cuts of each: the curve and its initial samples are the
+        # ones computed afresh from the vertex tuple, float for float.
+        rng = random.Random(7415)
+        checked = 0
+        for drawn in sampled_curves(rng, 150):
+            curves = [drawn]
+            x0, y0, x1, y1 = envelope(drawn.region)
+            for _ in range(3):
+                axis = rng.choice(("horizontal", "vertical"))
+                extent = (y1 - y0) if axis == "horizontal" else (x1 - x0)
+                lam = rng.choice((0.0, rng.uniform(-0.5, 0.5) * extent))
+                curves.extend(boundary(p) for p in cut(drawn.region, axis, lam) if not p.is_empty)
+            for curve in curves:
+                points, cum, edges = reference_curve(curve.region.vertices)
+                assert float_bits(curve.points) == float_bits(points)
+                assert float_bits(curve.vertex_params) == float_bits(cum)
+                assert float_bits(curve.edges) == float_bits(edges)
+                assert float_bits(curve.perimeter) == float_bits(cum[-1])
+                assert float_bits(initial_samples(curve)) == float_bits(
+                    reference_initial_samples(cum)
+                )
+                checked += 1
+        assert checked > 1500
 
 
 class TestSamplesFromEdges:
@@ -652,7 +679,7 @@ class TestSamplesFromEdges:
             f = Polynomial((-complex(x1 + 10 * (x1 - x0), y1), 1))
             s0 = initial_samples(curve)
             _, asked = ipsr_asked(curve, f, s0, 1e-3 * (x1 - x0))
-            assert bits(asked[: len(s0)]) == bits(curve(t) for t in s0)
+            assert float_bits(asked[: len(s0)]) == float_bits([curve(t) for t in s0])
 
     def test_midpoints_are_the_curve_points(self, monkeypatch):
         rng = random.Random(7412)
@@ -709,8 +736,52 @@ class TestSamplesFromEdges:
         curve = boundary(rect(0, 0, 1, 1))
         s0 = initial_samples(curve)
         for bad in (s0[:-1], s0[:-1] + [3.75], s0 + [4.5]):
+            ctr = EvalCounter()
             with pytest.raises(ValueError, match="s0 must end at the perimeter 4.0"):
-                ipsr(curve, Polynomial((1, 0, 0, 1)), bad, 1e-3, EvalCounter())
+                ipsr(curve, Polynomial((1, 0, 0, 1)), bad, 1e-3, ctr)
+            assert ctr.evaluations == 0
+            assert ctr.samples == {} and ctr.previous_samples == {}
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([0.0, 0.5, 0.5, 1.0, 2.0, 3.0, 4.0], "parameters must be strictly increasing"),
+            ([0.0, 1.0, 2.0, 1.5, 3.0, 4.0], "parameters must be strictly increasing"),
+            ([0.0, 0.5, math.nan, 1.0, 2.0, 3.0, 4.0], "parameters must be strictly increasing"),
+            # Past the perimeter before the end: the walk runs out of vertices.
+            ([0.0, 1.0, 2.0, 3.0, 4.0, 4.5, 4.0], "parameters must be strictly increasing"),
+            ([0.5, 1.0, 2.0, 3.0, 4.0], "first parameter must be 0"),
+            ([math.nan, 1.0, 2.0, 3.0, 4.0], "first parameter must be 0"),
+            ([], "first parameter must be 0"),
+            ([0.0, 1.0, 2.0, 3.0], "s0 must end at the perimeter 4.0"),
+            ([0.0, 1.0, 2.0, 3.0, 4.0, 4.5], "s0 must end at the perimeter 4.0"),
+            ([0.0, 1.0, 2.0, 3.0, math.nan], "s0 must end at the perimeter 4.0"),
+            ([0.0, 1.0, 2.5, 3.0, 4.0], "s0 skips the vertex parameter 2.0"),
+            ([0.0, 0.5, 1.5, 2.0, 3.0, 4.0], "s0 skips the vertex parameter 1.0"),
+        ],
+        ids=[
+            "repeated", "decreasing", "nan", "past-perimeter-inside", "first-not-0",
+            "first-nan", "empty", "short", "past-perimeter", "last-nan",
+            "skipped-vertex", "skipped-first-vertex",
+        ],
+    )
+    def test_every_s0_refusal_comes_before_any_evaluation(self, bad, message):
+        # The walk that computes each initial point refuses s0 before the
+        # first sample is looked up or evaluated.
+        f = Polynomial((1, 0, 0, 1))
+        curve = boundary(rect(0, 0, 1, 1))
+        ctr = EvalCounter()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ipsr(curve, f, bad, 1e-3, ctr)
+        assert ctr.evaluations == 0
+        assert ctr.samples == {} and ctr.previous_samples == {}
+        # A counter aged after a test on an overlapping curve keeps its window.
+        ctr = warmed_counter(f, 1e-3, (boundary(rect(0, 0, 1, 2)), True))
+        before = (dict(ctr.cache), dict(ctr.samples), dict(ctr.previous_samples))
+        assert before[2]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ipsr(curve, f, bad, 1e-3, ctr)
+        assert (ctr.cache, ctr.samples, ctr.previous_samples) == before
 
     def test_initial_samples_returns_a_fresh_list_and_writes_nothing(self):
         rng = random.Random(7414)
