@@ -255,10 +255,13 @@ def cut(
     bit-identical); a part that degenerates is the empty region.  The
     parent's envelope, read once, gives the cut level and the parent's
     ``diam_rect``, which sets the tolerance for merging vertices and for
-    collapsing slivers.
+    collapsing slivers.  A NaN ``lam`` raises ValueError: no vertex lies on
+    either side of a NaN line, so both parts would drop the region.
     """
     if axis not in ("horizontal", "vertical"):
         raise ValueError(f"axis must be 'horizontal' or 'vertical', got {axis!r}")
+    if math.isnan(lam):
+        raise ValueError("cut offset lam must not be NaN")
     vs = region.vertices
     if not vs:
         return EMPTY, EMPTY

@@ -2,11 +2,11 @@
 
 The driver counts the roots inside the region from its boundary winding
 number, then recursively quarters the region — one horizontal cut, then
-one vertical cut per half — until every piece that still holds roots is
-smaller than the requested accuracy.  Cut lines are shifted away from
-the midline in fixed trial steps whenever a root sits close enough to
-make the boundary winding test fail, so every accepted piece has a
-certified count.  All polynomial evaluations go through one shared memo
+one vertical cut per half that holds roots — until every piece that
+still holds roots is smaller than the requested accuracy.  Cut lines
+are shifted away from the midline in fixed trial steps whenever a root
+sits close enough to make the boundary winding test fail, so every
+accepted piece has a certified count.  All polynomial evaluations go through one shared memo
 counter, which the closed-form evaluation budgets refer to; ``rdp``
 ages its two-level window of boundary samples after each level (see
 ``EvalCounter``).
@@ -25,6 +25,7 @@ from .errors import (
     SubdivisionFailedError,
 )
 from .geometry import (
+    EMPTY,
     SIN_PI_8,
     BoundaryCurve,
     ConvexRegion,
@@ -70,8 +71,12 @@ class RdpStats:
     ``pe`` is the metered number of distinct polynomial evaluations,
     ``budget`` the closed-form bound it is certified to stay below.
     ``visited`` lists every (level, region) the recursion examined, in
-    level order, ``ipsr_calls`` one (perimeter, q, insertions) triple per
-    boundary winding test, and ``offsets`` every accepted cut-line offset.
+    level order; a half of a region that counts no roots appears whole,
+    not as two quarters.  ``ipsr_calls`` holds one (perimeter, q,
+    insertions) triple per boundary winding test, and ``offsets`` every
+    accepted cut-line offset: one for the horizontal cut of each divided
+    region and one per vertical cut, so 2 or 3 per region that holds
+    roots.
     """
 
     pe: int = 0
@@ -140,13 +145,15 @@ def divide(
     tuple[ConvexRegion, ConvexRegion, ConvexRegion, ConvexRegion],
     tuple[int, int, int, int],
 ]:
-    """Split a region into four certified parts by one horizontal and two vertical cuts.
+    """Split a region in four by one horizontal cut and a vertical cut per half with roots.
 
     Returns the parts in the order (top-right, top-left, bottom-right,
     bottom-left), some possibly empty with count 0, and their root
     counts at guard width ``q``; the counts sum to the region's own.
-    Each cut is made at the first root-free trial line.  Trial offsets
-    from the midline are 0, +2EQ, -2EQ, +4EQ, -4EQ, ... with
+    A half whose boundary test counts no roots is not cut again: it is
+    returned whole in its left slot with EMPTY in its right, both
+    counting 0.  Each cut is made at the first root-free trial line.
+    Trial offsets from the midline are 0, +2EQ, -2EQ, +4EQ, -4EQ, ... with
     E = n/sin(pi/8), n the degree of ``f``; a line is accepted when the
     boundary winding test returns normally on both parts, tested in
     order (an empty part holds no roots and needs no test).  Every
@@ -178,9 +185,12 @@ def divide(
             f"(region envelope {envelope(reg)})"
         )
 
-    (top, bottom), _ = split(region, "horizontal")
-    (left_t, right_t), (cl_t, cr_t) = split(top, "vertical")
-    (left_b, right_b), (cl_b, cr_b) = split(bottom, "vertical")
+    def quarter(half: ConvexRegion, count: int):
+        return split(half, "vertical") if count else ((half, EMPTY), (0, 0))
+
+    (top, bottom), (c_top, c_bottom) = split(region, "horizontal")
+    (left_t, right_t), (cl_t, cr_t) = quarter(top, c_top)
+    (left_b, right_b), (cl_b, cr_b) = quarter(bottom, c_bottom)
     return (right_t, left_t, right_b, left_b), (cr_t, cl_t, cr_b, cl_b)
 
 

@@ -9,8 +9,20 @@ from itertools import accumulate
 
 import numpy as np
 
-from windroot import BoundaryCurve, ConvexRegion, Polynomial, boundary, contains
+from windroot import (
+    BoundaryCurve,
+    ConvexRegion,
+    Polynomial,
+    SingularError,
+    SubdivisionFailedError,
+    boundary,
+    contains,
+    cut,
+    envelope,
+)
+from windroot.geometry import SIN_PI_8
 from windroot.oracle import _MAX_WINDING_SAMPLES, _RTOL, _SAMPLES, RootList, dist_set_curve
+from windroot.rdp import _boundary_test
 
 
 def poly_from_roots(roots, lead: complex = 1 + 0j) -> Polynomial:
@@ -158,3 +170,36 @@ def float_bits(value):
     if isinstance(value, (tuple, list)):
         return [float_bits(v) for v in value]
     return value
+
+
+def reference_divide(region, f, q, n0, ctr, stats):
+    """``rdp.divide`` as it was before a half that counts no roots stayed
+    whole: both halves of the horizontal cut are cut vertically, whatever
+    their counts, with the same trial offsets, boundary tests and records."""
+    step = 2.0 * f.degree / SIN_PI_8 * q
+
+    def split(reg, axis):
+        for k in range(n0 + 2):
+            lam = 0.0 if k == 0 else math.ceil(k / 2) * step * (1 if k % 2 else -1)
+            parts = cut(reg, axis, lam)
+            counts = []
+            for part in parts:
+                if part.is_empty:
+                    counts.append(0)
+                    continue
+                outcome = _boundary_test(boundary(part), f, q, ctr, stats)
+                if isinstance(outcome, SingularError):
+                    break
+                counts.append(outcome.index)
+            else:
+                stats.offsets.append(lam)
+                return parts, counts
+        raise SubdivisionFailedError(
+            f"no root-free {axis} cut line after {n0 + 2} trial offsets "
+            f"(region envelope {envelope(reg)})"
+        )
+
+    (top, bottom), _ = split(region, "horizontal")
+    (left_t, right_t), (cl_t, cr_t) = split(top, "vertical")
+    (left_b, right_b), (cl_b, cr_b) = split(bottom, "vertical")
+    return (right_t, left_t, right_b, left_b), (cr_t, cl_t, cr_b, cl_b)

@@ -192,6 +192,19 @@ class TestCut:
         with pytest.raises(ValueError):
             cut(UNIT_SQUARE, "diagonal", 0.0)
 
+    @pytest.mark.parametrize("axis", ["horizontal", "vertical"])
+    def test_nan_offset_rejected(self, axis):
+        # Every comparison with a NaN line fails, so both parts would
+        # drop every vertex and the region would vanish.
+        with pytest.raises(ValueError, match="NaN"):
+            cut(rect(0, 0, 1, 2), axis, float("nan"))
+
+    def test_infinite_offset_leaves_the_region_whole(self):
+        top, bottom = cut(UNIT_SQUARE, "horizontal", math.inf)
+        assert top.is_empty and bottom == UNIT_SQUARE
+        left, right = cut(UNIT_SQUARE, "vertical", -math.inf)
+        assert left.is_empty and right == UNIT_SQUARE
+
     def test_operator_decay_midline(self):
         # One round = a horizontal and a vertical midline cut; each round
         # halves both diameters, so m rounds divide diam_rect by 2^m.
