@@ -125,6 +125,8 @@ def _parse_polynomial(text: str) -> Polynomial:
         data = json.loads(text)
     except json.JSONDecodeError:
         return parse_poly_shorthand(text)
+    except (ValueError, RecursionError) as exc:  # too many digits, too deeply nested
+        raise _ParseError(f"malformed polynomial JSON: {exc}") from exc
     if not isinstance(data, dict):
         return parse_poly_shorthand(text)
     try:
@@ -190,7 +192,7 @@ def _read_file(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _ParseError(f"cannot read {path}: {exc}") from exc
 
 
@@ -200,7 +202,7 @@ def _parse_region(ns: argparse.Namespace) -> ConvexRegion:
     else:
         try:
             region_data = json.loads(_read_file(ns.region_file))
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # not JSON, too many digits, too deep
             raise _ParseError(f"malformed region JSON: {exc}") from exc
     try:
         return ConvexRegion.from_json(region_data)

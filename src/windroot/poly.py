@@ -31,8 +31,10 @@ class Polynomial:
         for c in coeffs:
             if not cmath.isfinite(c):
                 raise ValueError(f"non-finite coefficient {c!r}")
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
+        n = len(coeffs)
+        while n and coeffs[n - 1] == 0:
+            n -= 1
+        coeffs = coeffs[:n]
         if not coeffs:
             raise ValueError("the zero polynomial is not representable")
         object.__setattr__(self, "coeffs", coeffs)
@@ -47,7 +49,7 @@ class Polynomial:
         try:
             pairs = data["coeffs"]
             coeffs = tuple(complex(float(re), float(im)) for re, im in pairs)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed polynomial JSON: {exc}") from exc
         return cls(coeffs)
 

@@ -3,12 +3,14 @@
 The driver counts the roots inside the region from its boundary winding
 number, then recursively quarters the region — one horizontal cut, then
 one vertical cut per half that holds roots — until every piece that
-still holds roots is smaller than the requested accuracy.  Cut lines
-are shifted away from the midline in fixed trial steps whenever a root
-sits close enough to make the boundary winding test fail, so every
-accepted piece has a certified count.  All polynomial evaluations go through one shared memo
-counter, which the closed-form evaluation budgets refer to; ``rdp``
-ages its two-level window of boundary samples after each level (see
+still holds roots is smaller than the requested accuracy.  ``divide``
+returns each nonempty part with its count, and only parts that count
+roots are divided again.  Cut lines are shifted away from the midline
+in fixed trial steps whenever a root sits close enough to make the
+boundary winding test fail, so every accepted piece has a certified
+count.  All polynomial evaluations go through one shared memo counter,
+which the closed-form evaluation budgets refer to; ``rdp`` ages its
+two-level window of boundary samples after each level (see
 ``EvalCounter``).
 """
 
@@ -25,7 +27,6 @@ from .errors import (
     SubdivisionFailedError,
 )
 from .geometry import (
-    EMPTY,
     SIN_PI_8,
     BoundaryCurve,
     ConvexRegion,
@@ -58,7 +59,7 @@ class RootBox:
     count: int
 
     def __post_init__(self):
-        if self.region.is_empty:
+        if not self.region.vertices:
             raise ValueError("a root box cannot be empty")
         if self.count < 1:
             raise ValueError("a root box must hold at least one root")
@@ -71,8 +72,10 @@ class RdpStats:
     ``pe`` is the metered number of distinct polynomial evaluations,
     ``budget`` the closed-form bound it is certified to stay below.
     ``visited`` lists every (level, region) the recursion examined, in
-    level order; a half of a region that counts no roots appears whole,
-    not as two quarters.  ``ipsr_calls`` holds one (perimeter, q,
+    level order: the initial region, then each part ``divide`` returns,
+    including a part that counts no roots and so is not divided again; a
+    half of a region that counts no roots appears whole, not as two
+    quarters.  ``ipsr_calls`` holds one (perimeter, q,
     insertions) triple per boundary winding test, and ``offsets`` every
     accepted cut-line offset: one for the horizontal cut of each divided
     region and one per vertical cut, so 2 or 3 per region that holds
@@ -141,18 +144,15 @@ def divide(
     n0: int,
     ctr: EvalCounter,
     stats: RdpStats,
-) -> tuple[
-    tuple[ConvexRegion, ConvexRegion, ConvexRegion, ConvexRegion],
-    tuple[int, int, int, int],
-]:
-    """Split a region in four by one horizontal cut and a vertical cut per half with roots.
+) -> list[tuple[ConvexRegion, int]]:
+    """Split a region by one horizontal cut and a vertical cut per half with roots.
 
-    Returns the parts in the order (top-right, top-left, bottom-right,
-    bottom-left), some possibly empty with count 0, and their root
-    counts at guard width ``q``; the counts sum to the region's own.
-    A half whose boundary test counts no roots is not cut again: it is
-    returned whole in its left slot with EMPTY in its right, both
-    counting 0.  Each cut is made at the first root-free trial line.
+    Returns (part, count) pairs for the nonempty parts only, in the order
+    top-right, top-left, bottom-right, bottom-left, with each part's
+    root count at guard width ``q``; the counts sum to the region's own.
+    A half whose boundary test counts no roots is not cut again: it
+    comes back whole in its place, with count 0.  Each cut is made at
+    the first root-free trial line.
     Trial offsets from the midline are 0, +2EQ, -2EQ, +4EQ, -4EQ, ... with
     E = n/sin(pi/8), n the degree of ``f``; a line is accepted when the
     boundary winding test returns normally on both parts, tested in
@@ -164,34 +164,29 @@ def divide(
     """
     step = 2.0 * f.degree / SIN_PI_8 * q
 
-    def split(reg: ConvexRegion, axis: str):
+    def split(reg: ConvexRegion, axis: str) -> list[tuple[ConvexRegion, int]]:
         for k in range(n0 + 2):
             lam = 0.0 if k == 0 else math.ceil(k / 2) * step * (1 if k % 2 else -1)
-            parts = cut(reg, axis, lam)
-            counts = []
-            for part in parts:
-                if part.is_empty:
-                    counts.append(0)
+            tested = []
+            for part in cut(reg, axis, lam):
+                if not part.vertices:
                     continue
                 outcome = _boundary_test(boundary(part), f, q, ctr, stats)
                 if isinstance(outcome, SingularError):
                     break
-                counts.append(outcome.index)
+                tested.append((part, outcome.index))
             else:
                 stats.offsets.append(lam)
-                return parts, counts
+                return tested
         raise SubdivisionFailedError(
             f"no root-free {axis} cut line after {n0 + 2} trial offsets "
             f"(region envelope {envelope(reg)})"
         )
 
-    def quarter(half: ConvexRegion, count: int):
-        return split(half, "vertical") if count else ((half, EMPTY), (0, 0))
-
-    (top, bottom), (c_top, c_bottom) = split(region, "horizontal")
-    (left_t, right_t), (cl_t, cr_t) = quarter(top, c_top)
-    (left_b, right_b), (cl_b, cr_b) = quarter(bottom, c_bottom)
-    return (right_t, left_t, right_b, left_b), (cr_t, cl_t, cr_b, cl_b)
+    pairs = []
+    for half, count in split(region, "horizontal"):
+        pairs += reversed(split(half, "vertical")) if count else [(half, count)]
+    return pairs
 
 
 def _check_resolution(curve: BoundaryCurve, q: float) -> None:
@@ -307,8 +302,6 @@ def rdp(
     while frontier:
         next_frontier: list[tuple[ConvexRegion, int]] = []
         for reg, cnt in frontier:
-            if cnt == 0:
-                continue
             width = dr if level == 0 else diam_rect(reg)  # level 0: the region alone
             if width < accuracy:
                 # The count computed when this piece was created is
@@ -322,11 +315,12 @@ def rdp(
                     f"(diam_rect {width!r} >= {accuracy!r})"
                 )
             try:
-                parts, counts = divide(reg, f, q, n0, ctr, stats)
+                pairs = divide(reg, f, q, n0, ctr, stats)
             except ValueError as exc:
                 raise InternalSolverError(
                     f"{exc} (level {level}, region envelope {envelope(reg)})"
                 ) from exc
+            counts = [c for _, c in pairs]
             if sum(counts) != cnt:
                 raise CountMismatchError(
                     f"cut parts account for {sum(counts)} roots "
@@ -338,11 +332,10 @@ def rdp(
                     f"a cut part counts {min(counts)} roots "
                     f"(level {level}, region envelope {envelope(reg)})"
                 )
-            for part, c in zip(parts, counts):
-                if part.is_empty:
-                    continue
+            for part, c in pairs:
                 stats.visited.append((level + 1, part))
-                next_frontier.append((part, c))
+                if c > 0:
+                    next_frontier.append((part, c))
         frontier = next_frontier
         level += 1
         ctr.next_level()

@@ -175,31 +175,31 @@ def float_bits(value):
 def reference_divide(region, f, q, n0, ctr, stats):
     """``rdp.divide`` as it was before a half that counts no roots stayed
     whole: both halves of the horizontal cut are cut vertically, whatever
-    their counts, with the same trial offsets, boundary tests and records."""
+    their counts, with the same trial offsets, boundary tests and records.
+    Returns the same (part, count) pairs for the nonempty parts, top-right,
+    top-left, bottom-right, bottom-left."""
     step = 2.0 * f.degree / SIN_PI_8 * q
 
     def split(reg, axis):
         for k in range(n0 + 2):
             lam = 0.0 if k == 0 else math.ceil(k / 2) * step * (1 if k % 2 else -1)
-            parts = cut(reg, axis, lam)
-            counts = []
-            for part in parts:
+            tested = []
+            for part in cut(reg, axis, lam):
                 if part.is_empty:
-                    counts.append(0)
                     continue
                 outcome = _boundary_test(boundary(part), f, q, ctr, stats)
                 if isinstance(outcome, SingularError):
                     break
-                counts.append(outcome.index)
+                tested.append((part, outcome.index))
             else:
                 stats.offsets.append(lam)
-                return parts, counts
+                return tested
         raise SubdivisionFailedError(
             f"no root-free {axis} cut line after {n0 + 2} trial offsets "
             f"(region envelope {envelope(reg)})"
         )
 
-    (top, bottom), _ = split(region, "horizontal")
-    (left_t, right_t), (cl_t, cr_t) = split(top, "vertical")
-    (left_b, right_b), (cl_b, cr_b) = split(bottom, "vertical")
-    return (right_t, left_t, right_b, left_b), (cr_t, cl_t, cr_b, cl_b)
+    pairs = []
+    for half, _ in split(region, "horizontal"):
+        pairs += reversed(split(half, "vertical"))
+    return pairs

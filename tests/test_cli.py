@@ -223,8 +223,8 @@ class TestRuns:
         divide = rdp_module.divide
 
         def miscount(*args):
-            parts, counts = divide(*args)
-            return parts, (counts[0] + 1,) + counts[1:]
+            (part, count), *rest = divide(*args)
+            return [(part, count + 1)] + rest
 
         monkeypatch.setattr(rdp_module, "divide", miscount)
         code, out, err = run_cli(CUBE_ARGS)
@@ -250,18 +250,20 @@ class TestRuns:
         swapped = []
 
         def swap(region, f, q, n0, ctr, stats):
-            parts, counts = divide(region, f, q, n0, ctr, stats)
+            pairs = divide(region, f, q, n0, ctr, stats)
+            parts = [p for p, _ in pairs]
+            counts = [c for _, c in pairs]
             if swapped or 0 not in counts:
-                return parts, counts
+                return pairs
             moving = (parts[counts.index(max(counts))], parts[counts.index(0)])
-            small = all(not p.is_empty and diam_rect(p) < 1e-3 for p in moving)
+            small = all(diam_rect(p) < 1e-3 for p in moving)
             if small != below_accuracy:
-                return parts, counts
+                return pairs
             swapped.append(region)
             moved = list(counts)
             moved[counts.index(max(counts))] += 1
             moved[counts.index(0)] -= 1
-            return parts, tuple(moved)
+            return list(zip(parts, moved))
 
         monkeypatch.setattr(rdp_module, "divide", swap)
         code, out, err = run_cli(CUBE_ARGS)
@@ -700,6 +702,52 @@ class TestBadInvocations:
         code, out, err = run_cli(
             ["--poly", "z", "--region-file", str(path), "--accuracy", "1"]
         )
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert err.startswith(f"windroot: error: {message}")
+
+    @pytest.mark.parametrize(
+        "flag, text, message",
+        [
+            ("--poly", '{"coeffs": [[1, 0], [1' + "0" * 400 + ", 0]]}", "malformed polynomial JSON: int too large"),
+            ("--poly", '{"coeffs": [[1, 0], [1' + "0" * 5000 + ", 0]]}", "malformed polynomial JSON: "),
+            ("--poly-file", '{"coeffs": [[1, 0], [1' + "0" * 5000 + ", 0]]}", "malformed polynomial JSON: "),
+            ("--region-file", '{"rect": [0, 0, 1, 1' + "0" * 5000 + "]}", "malformed region JSON: "),
+            ("--poly", "[" * 100_000, "malformed polynomial JSON: maximum recursion depth"),
+            ("--region-file", "[" * 100_000, "malformed region JSON: maximum recursion depth"),
+            ("--poly-file", b"\xff z", "cannot read "),
+            ("--region-file", b'{"rect": [0, 0, 1, 1]}\xff', "cannot read "),
+        ],
+        ids=[
+            "poly-beyond-float-range",
+            "poly-above-digit-limit",
+            "poly-file-above-digit-limit",
+            "region-file-above-digit-limit",
+            "poly-nested-too-deep",
+            "region-file-nested-too-deep",
+            "poly-file-not-utf8",
+            "region-file-not-utf8",
+        ],
+    )
+    def test_unreadable_number_or_file_is_one_error_line(self, tmp_path, flag, text, message):
+        # An integer above CPython's int-to-str digit limit makes json.loads
+        # raise a plain ValueError, not JSONDecodeError, and deep nesting a
+        # RecursionError; an integer beyond float range overflows in
+        # float(), and a file that is not UTF-8 fails to decode.  None of
+        # them may escape main.
+        poly, region = ["--poly", "z"], ["--rect", "0", "0", "1", "1"]
+        if flag == "--poly":
+            poly = [flag, text]
+        else:
+            path = tmp_path / "input"
+            path.write_bytes(text if isinstance(text, bytes) else text.encode())
+            if flag == "--poly-file":
+                poly = [flag, str(path)]
+            else:
+                region = [flag, str(path)]
+        code, out, err = run_cli(poly + region + ["--accuracy", "1"])
         assert code == 1
         assert out == ""
         assert len(err.splitlines()) == 1

@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import math
 import random
+import time
 
 import pytest
 
@@ -17,6 +18,14 @@ class TestConstruction:
     def test_trailing_zeros_trimmed(self):
         f = Polynomial((1, 2, 0, 0.0))
         assert f.coeffs == (1 + 0j, 2 + 0j)
+        assert f.degree == 1
+
+    def test_many_trailing_zeros_trimmed_in_one_pass(self):
+        # Trimming one zero per slice took time quadratic in their number
+        # (about a minute for these).
+        started = time.perf_counter()
+        f = Polynomial((0, 1) + (0,) * 200_000)
+        assert time.perf_counter() - started < 1.0
         assert f.degree == 1
 
     def test_zero_polynomial_rejected(self):
@@ -38,6 +47,10 @@ class TestConstruction:
         f = Polynomial.from_json({"coeffs": [[1, 0], [0, 0], [0, 0], [1, 0]]})
         assert f.coeffs == (1 + 0j, 0j, 0j, 1 + 0j)
         assert f.degree == 3
+
+    def test_from_json_coefficient_beyond_float_range(self):
+        with pytest.raises(ValueError, match="^malformed polynomial JSON: int too large"):
+            Polynomial.from_json({"coeffs": [[1, 0], [10**400, 0]]})
 
 
 class TestEval:

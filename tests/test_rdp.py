@@ -103,8 +103,8 @@ class TestDivide:
         f = Polynomial((-1, 0, 0, 1))  # roots at 1 and on the unit circle
         q = choose_q(1e-3, 3, 3)
         stats = RdpStats()
-        _, counts = divide(rect(-1.9, -2, 2.1, 2), f, q, 3, EvalCounter(), stats)
-        assert counts == (0, 1, 1, 1)
+        pairs = divide(rect(-1.9, -2, 2.1, 2), f, q, 3, EvalCounter(), stats)
+        assert [c for _, c in pairs] == [0, 1, 1, 1]
         step = 2.0 * 3 / SIN_PI_8 * q
         assert stats.offsets == [step, 0.0, 0.0]
 
@@ -112,11 +112,11 @@ class TestDivide:
         f = Polynomial((0, -1, 1))  # z^2 - z, roots 0 and 1
         q = choose_q(1e-3, 2, 2)
         stats = RdpStats()
-        _, counts = divide(rect(-1, -1, 2, 1), f, q, 2, EvalCounter(), stats)
+        pairs = divide(rect(-1, -1, 2, 1), f, q, 2, EvalCounter(), stats)
         step = 2.0 * 2 / SIN_PI_8 * q
         assert stats.offsets[0] == step
         assert stats.offsets[1:] == [0.0]
-        assert counts == (0, 0, 1, 1)
+        assert [c for _, c in pairs] == [0, 1, 1]
 
     def test_counts_conserve_the_total(self):
         rng = random.Random(83)
@@ -129,27 +129,24 @@ class TestDivide:
             x1 = max(r.real for r in roots) + 0.4
             y1 = max(r.imag for r in roots) + 0.4
             q = choose_q(1e-2, n, n)
-            parts, counts = divide(rect(x0, y0, x1, y1), f, q, n, EvalCounter(), RdpStats())
-            assert sum(counts) == n
-            for part, c in zip(parts, counts):
-                if part.is_empty:
-                    assert c == 0
+            pairs = divide(rect(x0, y0, x1, y1), f, q, n, EvalCounter(), RdpStats())
+            assert sum(c for _, c in pairs) == n
+            for part, _ in pairs:
+                assert not part.is_empty
 
     def test_parts_cover_parent_envelope(self):
         f = CUBE
         region = rect(-2, -2, 2, 2)
-        parts, _ = divide(region, f, choose_q(1e-3, 3, 3), 3, EvalCounter(), RdpStats())
+        pairs = divide(region, f, choose_q(1e-3, 3, 3), 3, EvalCounter(), RdpStats())
         area = sum(
-            0.0
-            if p.is_empty
-            else 0.5
+            0.5
             * abs(
                 sum(
                     (a.real * b.imag - b.real * a.imag)
                     for a, b in zip(p.vertices, p.vertices[1:] + p.vertices[:1])
                 )
             )
-            for p in parts
+            for p, _ in pairs
         )
         assert le_rel(area, 16.0) and le_rel(16.0, area)
 
@@ -170,8 +167,8 @@ class TestDivide:
         f = poly_from_roots([0.7 + 0.6j, -0.8 - 0.5j])
         q = choose_q(1e-3, 2, 2)
         stats = RdpStats()
-        _, counts = divide(rect(-2, -2, 2, 2), f, q, 2, EvalCounter(), stats)
-        assert counts == (1, 0, 0, 1)
+        pairs = divide(rect(-2, -2, 2, 2), f, q, 2, EvalCounter(), stats)
+        assert [c for _, c in pairs] == [1, 0, 0, 1]
         step = 2.0 * 2 / SIN_PI_8 * q
         assert stats.offsets == [step, 0.0, 0.0]
         # Two tests per horizontal trial, then two per vertical cut.
@@ -185,17 +182,18 @@ class TestDivide:
         region = rect(-2, -2, 2, 2)
         q = choose_q(1e-3, 3, 3)
         stats = RdpStats()
-        parts, counts = divide(region, f, q, 3, EvalCounter(), stats)
+        pairs = divide(region, f, q, 3, EvalCounter(), stats)
         top, bottom = cut(region, "horizontal", 0.0)
         left_b, right_b = cut(bottom, "vertical", 0.0)
-        assert parts == (EMPTY, top, right_b, left_b)
-        assert counts == (0, 0, 2, 1)
+        assert [p for p, _ in pairs] == [top, right_b, left_b]
+        assert [c for _, c in pairs] == [0, 2, 1]
         assert stats.offsets == [0.0, 0.0]
         assert len(stats.ipsr_calls) == 4
         # The reference also cuts the top half, at two more tests.
         ref = RdpStats()
-        ref_parts, ref_counts = reference_divide(region, f, q, 3, EvalCounter(), ref)
-        assert ref_parts[2:] == parts[2:] and ref_counts == (0, 0, 2, 1)
+        ref_pairs = reference_divide(region, f, q, 3, EvalCounter(), ref)
+        assert ref_pairs[2:] == pairs[1:]
+        assert [c for _, c in ref_pairs] == [0, 0, 2, 1]
         assert ref.offsets == [0.0, 0.0, 0.0]
         assert len(ref.ipsr_calls) == 6
 
@@ -266,7 +264,7 @@ class TestSubdivisionFailures:
         rdp_module = importlib.import_module("windroot.rdp")
 
         def unshrunk(region, f, q, n0, ctr, stats):
-            return (region, EMPTY, EMPTY, EMPTY), (n0, 0, 0, 0)
+            return [(region, n0)]
 
         monkeypatch.setattr(rdp_module, "divide", unshrunk)
         region = rect(-2, -2, 2, 2)

@@ -491,10 +491,8 @@ class TestIpsrMatchesScan:
             f = Polynomial((-1,) + (0,) * (n - 1) + (1,))
             out = self.assert_same(boundary(region), f, choose_q(1e-3, n, n))
             q = choose_q(1e-3, out.index, n)
-            parts, _ = divide(region, f, q, out.index, EvalCounter(), RdpStats())
-            for part in parts:
-                if not part.is_empty:
-                    self.assert_same(boundary(part), f, q)
+            for part, _ in divide(region, f, q, out.index, EvalCounter(), RdpStats()):
+                self.assert_same(boundary(part), f, q)
         # Random degree 20-60, with a root near an edge as above in every
         # other instance.
         high = {Normal: 0, SingularError: 0}
