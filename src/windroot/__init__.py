@@ -21,7 +21,6 @@ from .errors import (
     WindrootError,
 )
 from .geometry import (
-    EMPTY,
     SIN_PI_8,
     BoundaryCurve,
     ConvexRegion,
@@ -81,7 +80,6 @@ __all__ = [
     "derivative",
     "lipschitz_bound",
     "ConvexRegion",
-    "EMPTY",
     "SIN_PI_8",
     "BoundaryCurve",
     "boundary",

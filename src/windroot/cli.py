@@ -88,6 +88,11 @@ def parse_poly_shorthand(text: str) -> Polynomial:
     2*diam_v, so P >= 2*hypot(diam_h, diam_v)).  ``_check_resolution``
     requires q >= 4u with u >= ulp(P) > P*2^-53.  Both hold only if
     n^2 < sin(pi/8) * 2^53 / (32*sqrt(2)), about 7.6e13: n below 8.8e6.
+
+    The top degree is the highest whose terms sum to a nonzero value, so
+    terms that cancel (``z^100000-z^100000+z``) build no coefficients
+    above it; if every sum is zero, the constant 0 is refused as the zero
+    polynomial.
     """
     compact = text.replace(" ", "")
     if not compact:
@@ -112,7 +117,7 @@ def parse_poly_shorthand(text: str) -> Polynomial:
                 )
             k = int(exponent)
         degrees[k] = degrees.get(k, 0.0) + sign * coeff
-    top = max(degrees)
+    top = max((k for k, c in degrees.items() if c), default=0)
     coeffs = tuple(complex(degrees.get(k, 0.0)) for k in range(top + 1))
     try:
         return Polynomial(coeffs)

@@ -1,11 +1,12 @@
 """Convex plane regions and the angular-sector machinery.
 
-Regions are convex polygons with counterclockwise vertex order (plus a
-distinguished empty region).  This module measures their axis-aligned
-diameters, cuts them with horizontal/vertical lines offset from the
-midline between supporting lines, parameterizes their border by arc
-length, and classifies nonzero complex values into the eight half-open
-sectors of angle pi/4 used by the winding-number tests.
+Regions are convex polygons with counterclockwise vertex order and at
+least three vertices; there is no empty region.  This module measures
+their axis-aligned diameters, cuts them with horizontal/vertical lines
+offset from the midline between supporting lines (a part that
+degenerates is ``None``), parameterizes their border by arc length, and
+classifies nonzero complex values into the eight half-open sectors of
+angle pi/4 used by the winding-number tests.
 
 A cut part reaches its boundary test in one pass per step: ``cut`` reads
 the parent's ``envelope`` once, for the cut level and the merge
@@ -31,7 +32,6 @@ from .errors import SingularPointError
 __all__ = [
     "SIN_PI_8",
     "ConvexRegion",
-    "EMPTY",
     "BoundaryCurve",
     "diam_h",
     "diam_v",
@@ -56,8 +56,8 @@ SIN_PI_8 = math.sin(math.pi / 8.0)
 # the adjacent edge lengths.
 _CONVEXITY_RTOL = 1e-9
 # Cut parts thinner than this fraction of the parent's diam_rect (in the
-# cut direction) collapse to the empty region, and vertices closer than
-# this are merged.
+# cut direction) degenerate to None, and vertices closer than this are
+# merged.
 _SLIVER_RTOL = 1e-14
 
 
@@ -65,11 +65,11 @@ _SLIVER_RTOL = 1e-14
 class ConvexRegion:
     """Convex polygon with vertices in counterclockwise order.
 
-    The empty region is represented by an empty vertex tuple (see the
-    module constant ``EMPTY``); all its diameters are zero.  Nonempty
-    regions need at least three pairwise-distinct consecutive vertices,
-    counterclockwise orientation, and convexity (collinear vertices are
-    tolerated, reflex ones are not).  Construction stores ``vertices``, any
+    Every region needs at least three pairwise-distinct consecutive
+    vertices, counterclockwise orientation, and convexity (collinear
+    vertices are tolerated, reflex ones are not); an empty vertex list is
+    refused like any other short one, so every function that takes a
+    region gets a real polygon.  Construction stores ``vertices``, any
     iterable of finite numbers, as a tuple of complex and checks the rest
     in one pass over the edges, for cut parts too.
     """
@@ -82,10 +82,8 @@ class ConvexRegion:
             bad = next(v for v in vertices if not cmath.isfinite(v))
             raise ValueError(f"non-finite vertex {bad!r}")
         object.__setattr__(self, "vertices", vertices)
-        if not vertices:
-            return
         if len(vertices) < 3:
-            raise ValueError("a nonempty region needs at least 3 vertices")
+            raise ValueError("a region needs at least 3 vertices")
         # One pass over the edges, from vertex i to i+1 for i = 0, 1, ...:
         # e2 is the current edge, e1 the one before it.  The area is summed
         # relative to the first vertex (untranslated, the products of
@@ -117,10 +115,6 @@ class ConvexRegion:
             if cross < -_CONVEXITY_RTOL * abs(e1) * abs(e2):
                 raise ValueError("polygon is not convex")
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.vertices
-
     @classmethod
     def from_json(cls, data: dict) -> "ConvexRegion":
         """Build from ``{"vertices": [[x, y], ...]}`` or ``{"rect": [x0, y0, x1, y1]}``.
@@ -146,42 +140,31 @@ class ConvexRegion:
         return cls(vertices)
 
 
-EMPTY = ConvexRegion(())
-
-
 def diam_h(region: ConvexRegion) -> float:
     """Horizontal diameter: distance between the vertical supporting lines."""
-    if region.is_empty:
-        return 0.0
     xs = [v.real for v in region.vertices]
     return max(xs) - min(xs)
 
 
 def diam_v(region: ConvexRegion) -> float:
     """Vertical diameter: distance between the horizontal supporting lines."""
-    if region.is_empty:
-        return 0.0
     ys = [v.imag for v in region.vertices]
     return max(ys) - min(ys)
 
 
 def diam_rect(region: ConvexRegion) -> float:
     """Rectangular diameter sqrt(diam_h^2 + diam_v^2); bounds the classical one."""
-    if region.is_empty:
-        return 0.0
     x0, y0, x1, y1 = envelope(region)
     return math.hypot(x1 - x0, y1 - y0)
 
 
 def envelope(region: ConvexRegion) -> tuple[float, float, float, float]:
-    """Axis-aligned envelope (x0, y0, x1, y1) of a nonempty region.
+    """Axis-aligned envelope (x0, y0, x1, y1) of a region.
 
     One pass over the vertices; each bound is the first vertex coordinate
     that attains it, as ``min`` and ``max`` would return.
     """
     vs = region.vertices
-    if not vs:
-        raise ValueError("empty region has no envelope")
     x0 = x1 = vs[0].real
     y0 = y1 = vs[0].imag
     for v in vs:
@@ -200,8 +183,6 @@ def envelope(region: ConvexRegion) -> tuple[float, float, float, float]:
 
 def contains(region: ConvexRegion, z: complex, tol: float = 0.0) -> bool:
     """True iff ``z`` is within signed distance ``-tol`` of every edge's inside."""
-    if region.is_empty:
-        return False
     vs = region.vertices
     n = len(vs)
     for i in range(n):
@@ -213,11 +194,15 @@ def contains(region: ConvexRegion, z: complex, tol: float = 0.0) -> bool:
     return True
 
 
-def _finish_part(pts: list[complex], horizontal: bool, tol: float) -> ConvexRegion:
-    """Merge near-coincident vertices in ``pts`` itself; collapse slivers to EMPTY.
+def _finish_part(
+    pts: list[complex], horizontal: bool, tol: float
+) -> ConvexRegion | None:
+    """Merge near-coincident vertices in ``pts`` itself; return None for a sliver.
 
     A vertex within ``tol`` of the last one kept is dropped, and so is a
-    last vertex within ``tol`` of the first.
+    last vertex within ``tol`` of the first.  A part left with fewer than
+    three vertices, or thinner than ``tol`` across the cut line, is a
+    sliver.
     """
     kept = 0
     for p in pts:
@@ -228,7 +213,7 @@ def _finish_part(pts: list[complex], horizontal: bool, tol: float) -> ConvexRegi
     while len(pts) >= 2 and abs(pts[0] - pts[-1]) <= tol:
         pts.pop()
     if len(pts) < 3:
-        return EMPTY
+        return None
     # The part's extent across the cut line, in one pass.
     lo = hi = pts[0].imag if horizontal else pts[0].real
     for p in pts:
@@ -238,13 +223,13 @@ def _finish_part(pts: list[complex], horizontal: bool, tol: float) -> ConvexRegi
         elif c > hi:
             hi = c
     if hi - lo < tol:
-        return EMPTY
+        return None
     return ConvexRegion(pts)
 
 
 def cut(
     region: ConvexRegion, axis: str, lam: float
-) -> tuple[ConvexRegion, ConvexRegion]:
+) -> tuple[ConvexRegion | None, ConvexRegion | None]:
     """Split by the line at signed distance ``lam`` from the region's midline.
 
     ``axis="horizontal"`` cuts along y = midline + lam and returns
@@ -252,19 +237,18 @@ def cut(
     returns (left, right).  The midline lies halfway between the two
     supporting lines perpendicular to the cut axis.  The parts partition
     the region up to the shared cut segment (shared vertices are
-    bit-identical); a part that degenerates is the empty region.  The
-    parent's envelope, read once, gives the cut level and the parent's
-    ``diam_rect``, which sets the tolerance for merging vertices and for
-    collapsing slivers.  A NaN ``lam`` raises ValueError: no vertex lies on
-    either side of a NaN line, so both parts would drop the region.
+    bit-identical); a part that degenerates, such as the far side of a
+    line beyond a supporting line, is ``None``.  The parent's envelope,
+    read once, gives the cut level and the parent's ``diam_rect``, which
+    sets the tolerance for merging vertices and for dropping slivers.  A
+    NaN ``lam`` raises ValueError: no vertex lies on either side of a NaN
+    line, so both parts would drop the region.
     """
     if axis not in ("horizontal", "vertical"):
         raise ValueError(f"axis must be 'horizontal' or 'vertical', got {axis!r}")
     if math.isnan(lam):
         raise ValueError("cut offset lam must not be NaN")
     vs = region.vertices
-    if not vs:
-        return EMPTY, EMPTY
     horizontal = axis == "horizontal"
     x0, y0, x1, y1 = envelope(region)
     level = ((y0 + y1) if horizontal else (x0 + x1)) / 2.0 + lam
@@ -324,8 +308,6 @@ class BoundaryCurve:
 
     def __init__(self, region: ConvexRegion):
         vs = region.vertices
-        if not vs:
-            raise ValueError("empty region has no boundary curve")
         start = 0  # index of the lexicographically smallest vertex (lx, ly)
         lx, ly = vs[0].real, vs[0].imag
         for i, v in enumerate(vs):
@@ -371,7 +353,7 @@ class BoundaryCurve:
 
 
 def boundary(region: ConvexRegion) -> BoundaryCurve:
-    """Arc-length parameterization of a nonempty region's border."""
+    """Arc-length parameterization of a region's border."""
     return BoundaryCurve(region)
 
 

@@ -167,7 +167,5 @@ def lipschitz_bound(f: Polynomial, region) -> float:
     |z| <= R, which contains the region.  Any upper bound on the true
     supremum is acceptable wherever a Lipschitz constant is consumed.
     """
-    if not region.vertices:
-        raise ValueError("Lipschitz bound needs a nonempty region")
     r = max(abs(v) for v in region.vertices)
     return _majorant(tuple(k * abs(c) for k, c in enumerate(f.coeffs))[1:], r)

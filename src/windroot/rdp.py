@@ -4,13 +4,14 @@ The driver counts the roots inside the region from its boundary winding
 number, then recursively quarters the region — one horizontal cut, then
 one vertical cut per half that holds roots — until every piece that
 still holds roots is smaller than the requested accuracy.  ``divide``
-returns each nonempty part with its count, and only parts that count
-roots are divided again.  Cut lines are shifted away from the midline
-in fixed trial steps whenever a root sits close enough to make the
-boundary winding test fail, so every accepted piece has a certified
-count.  All polynomial evaluations go through one shared memo counter,
-which the closed-form evaluation budgets refer to; ``rdp`` ages its
-two-level window of boundary samples after each level (see
+returns each part that a cut leaves, with its count: a part that
+degenerates is ``None`` from ``cut`` and is dropped there.  Only parts
+that count roots are divided again.  Cut lines are shifted away from
+the midline in fixed trial steps whenever a root sits close enough to
+make the boundary winding test fail, so every accepted piece has a
+certified count.  All polynomial evaluations go through one shared memo
+counter, which the closed-form evaluation budgets refer to; ``rdp`` ages
+its two-level window of boundary samples after each level (see
 ``EvalCounter``).
 """
 
@@ -59,8 +60,6 @@ class RootBox:
     count: int
 
     def __post_init__(self):
-        if not self.region.vertices:
-            raise ValueError("a root box cannot be empty")
         if self.count < 1:
             raise ValueError("a root box must hold at least one root")
 
@@ -147,7 +146,7 @@ def divide(
 ) -> list[tuple[ConvexRegion, int]]:
     """Split a region by one horizontal cut and a vertical cut per half with roots.
 
-    Returns (part, count) pairs for the nonempty parts only, in the order
+    Returns (part, count) pairs for the parts that exist, in the order
     top-right, top-left, bottom-right, bottom-left, with each part's
     root count at guard width ``q``; the counts sum to the region's own.
     A half whose boundary test counts no roots is not cut again: it
@@ -156,11 +155,12 @@ def divide(
     Trial offsets from the midline are 0, +2EQ, -2EQ, +4EQ, -4EQ, ... with
     E = n/sin(pi/8), n the degree of ``f``; a line is accepted when the
     boundary winding test returns normally on both parts, tested in
-    order (an empty part holds no roots and needs no test).  Every
-    boundary test is appended to ``stats.ipsr_calls`` and every accepted
-    offset to ``stats.offsets``.  At most n0+2 offsets are tried per
-    cut, ``n0`` the initial region's root count; exhausting them raises
-    SubdivisionFailedError.
+    order; a part that ``cut`` gives as ``None`` (the line lies beyond
+    the region's side, or leaves only a sliver) is skipped, with no test
+    and no pair.  Every boundary test is appended to ``stats.ipsr_calls``
+    and every accepted offset to ``stats.offsets``.  At most n0+2 offsets
+    are tried per cut, ``n0`` the initial region's root count; exhausting
+    them raises SubdivisionFailedError.
     """
     step = 2.0 * f.degree / SIN_PI_8 * q
 
@@ -169,7 +169,7 @@ def divide(
             lam = 0.0 if k == 0 else math.ceil(k / 2) * step * (1 if k % 2 else -1)
             tested = []
             for part in cut(reg, axis, lam):
-                if not part.vertices:
+                if part is None:
                     continue
                 outcome = _boundary_test(boundary(part), f, q, ctr, stats)
                 if isinstance(outcome, SingularError):

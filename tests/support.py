@@ -176,7 +176,7 @@ def reference_divide(region, f, q, n0, ctr, stats):
     """``rdp.divide`` as it was before a half that counts no roots stayed
     whole: both halves of the horizontal cut are cut vertically, whatever
     their counts, with the same trial offsets, boundary tests and records.
-    Returns the same (part, count) pairs for the nonempty parts, top-right,
+    Returns the same (part, count) pairs for the parts that exist, top-right,
     top-left, bottom-right, bottom-left."""
     step = 2.0 * f.degree / SIN_PI_8 * q
 
@@ -185,7 +185,7 @@ def reference_divide(region, f, q, n0, ctr, stats):
             lam = 0.0 if k == 0 else math.ceil(k / 2) * step * (1 if k % 2 else -1)
             tested = []
             for part in cut(reg, axis, lam):
-                if part.is_empty:
+                if part is None:
                     continue
                 outcome = _boundary_test(boundary(part), f, q, ctr, stats)
                 if isinstance(outcome, SingularError):

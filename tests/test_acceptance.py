@@ -222,12 +222,12 @@ def test_criterion_08_geometry_lemmas():
         current = region
         for _ in range(m):
             current = cut(current, "horizontal", 0.0)[rng.randint(0, 1)]
-            if current.is_empty:
+            if current is None:
                 break
             current = cut(current, "vertical", 0.0)[rng.randint(0, 1)]
-            if current.is_empty:
+            if current is None:
                 break
-        if not le_rel(diam_rect(current), start / 2**m):
+        if current is not None and not le_rel(diam_rect(current), start / 2**m):
             ok = False
     for _ in range(1000):  # shifted rounds: halving plus a geometric drift term
         region = random_convex_polygon(rng)
@@ -237,13 +237,13 @@ def test_criterion_08_geometry_lemmas():
         current = region
         for _ in range(m):
             current = cut(current, "horizontal", rng.uniform(-mu, mu))[rng.randint(0, 1)]
-            if current.is_empty:
+            if current is None:
                 break
             current = cut(current, "vertical", rng.uniform(-mu, mu))[rng.randint(0, 1)]
-            if current.is_empty:
+            if current is None:
                 break
         bound = start / 2**m + (2**m - 1) / 2 ** (m - 1) * mu * math.sqrt(2)
-        if not le_rel(diam_rect(current), bound):
+        if current is not None and not le_rel(diam_rect(current), bound):
             ok = False
     for _ in range(10_000):  # nearer endpoint within the chord over the sine
         z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))

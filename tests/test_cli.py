@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -70,6 +71,26 @@ class TestShorthand:
         for bad in ("", "zz", "w^2", "z^", "2**z", "z^-1"):
             with pytest.raises(_ParseError):
                 parse_poly_shorthand(bad)
+
+    def test_cancelled_top_terms_build_no_coefficients(self):
+        # The top degree is that of the highest nonzero sum: building the
+        # 100,001 coefficients up to the cancelled terms peaked at 4.9 MB.
+        tracemalloc.start()
+        try:
+            f = parse_poly_shorthand("z^100000-z^100000+z")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f.degree == 1
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("text", ["z-z", "z^5-z^5"])
+    def test_terms_that_all_cancel_are_the_zero_polynomial(self, text):
+        code, out, err = run_cli(
+            ["--poly", text, "--rect", "-1", "-1", "1", "1", "--accuracy", "1"]
+        )
+        assert code == 1 and out == ""
+        assert err == "windroot: error: the zero polynomial is not representable\n"
 
     def test_leading_zeros_in_the_exponent(self):
         assert parse_poly_shorthand("z^0003+1").coeffs == (1 + 0j, 0j, 0j, 1 + 0j)
@@ -679,7 +700,8 @@ class TestBadInvocations:
             ("rect 0 0 1 1", "malformed region JSON: Expecting value"),
             ("{}", "malformed region JSON: 'vertices'"),
             ('{"vertices": 3}', "malformed region JSON: 'int' object is not iterable"),
-            ('{"vertices": [[0, 0], [1, 0]]}', "a nonempty region needs at least 3 vertices"),
+            ('{"vertices": [[0, 0], [1, 0]]}', "a region needs at least 3 vertices"),
+            ('{"vertices": []}', "a region needs at least 3 vertices"),
             ('{"vertices": [[0, 0], [1e999, 0], [1, 1]]}', "non-finite vertex (inf+0j)"),
             ('{"rect": [0, 0, 0, 1]}', "rectangle has zero width or height"),
         ],
@@ -692,6 +714,7 @@ class TestBadInvocations:
             "missing-key",
             "vertices-not-a-list",
             "two-vertices",
+            "no-vertices",
             "infinite-vertex",
             "zero-width",
         ],

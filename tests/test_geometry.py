@@ -9,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from windroot import (
-    EMPTY,
     ConvexRegion,
     SingularPointError,
     boundary,
@@ -33,9 +32,9 @@ def vertex_set(region):
 
 
 def area(region):
-    vs = region.vertices
-    if region.is_empty:
+    if region is None:
         return 0.0
+    vs = region.vertices
     return 0.5 * sum(
         (a.real * b.imag - b.real * a.imag)
         for a, b in zip(vs, vs[1:] + (vs[0],))
@@ -63,8 +62,10 @@ class TestConstruction:
             ConvexRegion((0j, 0j, 1 + 0j, 1 + 1j))
 
     def test_empty_region_distinguished(self):
-        assert EMPTY.is_empty
-        assert not UNIT_SQUARE.is_empty
+        # An empty vertex list is refused like a two-vertex one: there is
+        # no empty region.
+        with pytest.raises(ValueError, match="^a region needs at least 3 vertices$"):
+            ConvexRegion(())
 
     def test_from_json_vertices(self):
         region = ConvexRegion.from_json({"vertices": [[0, 0], [2, 0], [1, 1]]})
@@ -81,9 +82,6 @@ class TestConstruction:
 class TestDiameters:
     def test_unit_square(self):
         assert (diam_h(UNIT_SQUARE), diam_v(UNIT_SQUARE)) == (1.0, 1.0)
-
-    def test_empty(self):
-        assert (diam_h(EMPTY), diam_v(EMPTY), diam_rect(EMPTY)) == (0.0, 0.0, 0.0)
 
     def test_triangle_extrema(self):
         tri = ConvexRegion((0j, 2 + 0j, 1 + 1j))
@@ -139,7 +137,7 @@ class TestCut:
             level = (min(ys) + max(ys)) / 2.0 + lam
             top, bottom = cut(region, "horizontal", lam)
             for part in (top, bottom):
-                if part.is_empty:
+                if part is None:
                     continue
                 introduced = [v for v in part.vertices if v not in region.vertices]
                 assert introduced and all(v.imag == level for v in introduced)
@@ -150,7 +148,7 @@ class TestCut:
             region = random_convex_polygon(rng)
             lam = rng.uniform(-0.2, 0.2) * diam_h(region)
             left, right = cut(region, "vertical", lam)
-            if left.is_empty or right.is_empty:
+            if left is None or right is None:
                 continue
             shared_l = {(v.real, v.imag) for v in left.vertices} & {
                 (v.real, v.imag) for v in right.vertices
@@ -167,6 +165,8 @@ class TestCut:
             pa, pb = cut(region, axis, lam)
             assert area(pa) + area(pb) == pytest.approx(area(region), rel=1e-12)
             for part in (pa, pb):
+                if part is None:
+                    continue
                 for v in part.vertices:
                     assert contains(region, v, 1e-9 * diam_rect(region))
 
@@ -177,16 +177,15 @@ class TestCut:
             axis = rng.choice(("horizontal", "vertical"))
             pa, pb = cut(region, axis, 0.1 * diam_rect(region))
             for part in (pa, pb):
+                if part is None:
+                    continue
                 assert le_rel(diam_h(part), diam_h(region))
                 assert le_rel(diam_v(part), diam_v(region))
 
     def test_cut_beyond_support_line_leaves_one_empty(self):
         top, bottom = cut(UNIT_SQUARE, "horizontal", 0.6)
-        assert top.is_empty and not bottom.is_empty
+        assert top is None and bottom is not None
         assert vertex_set(bottom) == vertex_set(UNIT_SQUARE)
-
-    def test_cut_of_empty_is_empty(self):
-        assert cut(EMPTY, "horizontal", 0.0) == (EMPTY, EMPTY)
 
     def test_bad_axis_rejected(self):
         with pytest.raises(ValueError):
@@ -201,9 +200,9 @@ class TestCut:
 
     def test_infinite_offset_leaves_the_region_whole(self):
         top, bottom = cut(UNIT_SQUARE, "horizontal", math.inf)
-        assert top.is_empty and bottom == UNIT_SQUARE
+        assert top is None and bottom == UNIT_SQUARE
         left, right = cut(UNIT_SQUARE, "vertical", -math.inf)
-        assert left.is_empty and right == UNIT_SQUARE
+        assert left is None and right == UNIT_SQUARE
 
     def test_operator_decay_midline(self):
         # One round = a horizontal and a vertical midline cut; each round
@@ -216,12 +215,12 @@ class TestCut:
             current = region
             for _ in range(m):
                 current = cut(current, "horizontal", 0.0)[rng.randint(0, 1)]
-                if current.is_empty:
+                if current is None:
                     break
                 current = cut(current, "vertical", 0.0)[rng.randint(0, 1)]
-                if current.is_empty:
+                if current is None:
                     break
-            assert le_rel(diam_rect(current), start / 2**m)
+            assert current is None or le_rel(diam_rect(current), start / 2**m)
 
     def test_operator_decay_shifted(self):
         # Rounds of cuts shifted by at most mu add a geometric series of
@@ -237,15 +236,15 @@ class TestCut:
                 current = cut(current, "horizontal", rng.uniform(-mu, mu))[
                     rng.randint(0, 1)
                 ]
-                if current.is_empty:
+                if current is None:
                     break
                 current = cut(current, "vertical", rng.uniform(-mu, mu))[
                     rng.randint(0, 1)
                 ]
-                if current.is_empty:
+                if current is None:
                     break
             bound = start / 2**m + (2**m - 1) / 2 ** (m - 1) * mu * math.sqrt(2)
-            assert le_rel(diam_rect(current), bound)
+            assert current is None or le_rel(diam_rect(current), bound)
 
 
 class TestBoundary:
@@ -285,10 +284,6 @@ class TestBoundary:
             curve(-0.1)
         with pytest.raises(ValueError):
             curve(4.1)
-
-    def test_empty_region_has_no_boundary(self):
-        with pytest.raises(ValueError):
-            boundary(EMPTY)
 
 
 class TestSectors:

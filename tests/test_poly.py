@@ -202,12 +202,8 @@ class TestLipschitzBound:
         got = lipschitz_bound(Polynomial((1, 0, 0, 1)), rect(-2, -2, 2, 2))
         assert got == pytest.approx(24.0, rel=1e-12)
 
-    def test_constant_gives_zero_and_empty_region_raises(self):
-        from windroot.geometry import EMPTY
-
+    def test_constant_gives_zero(self):
         assert lipschitz_bound(Polynomial((5,)), rect(-3, 1, 7, 2)) == 0
-        with pytest.raises(ValueError):
-            lipschitz_bound(Polynomial((0, 1)), EMPTY)
 
     def test_dominates_boundary_supremum(self):
         from windroot import ConvexRegion, boundary

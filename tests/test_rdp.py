@@ -25,7 +25,7 @@ from windroot import (
     pe_budget_sharp,
     rdp,
 )
-from windroot.geometry import EMPTY, SIN_PI_8, diam_rect
+from windroot.geometry import SIN_PI_8, diam_rect
 from windroot.poly import EvalCounter
 from windroot.rdp import RdpStats, RootBox
 
@@ -93,8 +93,6 @@ class TestBudgets:
 class TestRootBox:
     def test_box_validations(self):
         with pytest.raises(ValueError):
-            RootBox(EMPTY, 1)
-        with pytest.raises(ValueError):
             RootBox(rect(0, 0, 1, 1), 0)
 
 
@@ -132,7 +130,7 @@ class TestDivide:
             pairs = divide(rect(x0, y0, x1, y1), f, q, n, EvalCounter(), RdpStats())
             assert sum(c for _, c in pairs) == n
             for part, _ in pairs:
-                assert not part.is_empty
+                assert part is not None
 
     def test_parts_cover_parent_envelope(self):
         f = CUBE
@@ -196,6 +194,25 @@ class TestDivide:
         assert [c for _, c in ref_pairs] == [0, 0, 2, 1]
         assert ref.offsets == [0.0, 0.0, 0.0]
         assert len(ref.ipsr_calls) == 6
+
+    def test_a_part_beyond_the_accepted_line_is_skipped(self):
+        # The root of z lies on both midlines, so each cut's first trial
+        # fails on its first part.  A guard width of 0.2 makes the next
+        # offset, 2q/sin(pi/8) = 1.045, reach past the square's side:
+        # ``cut`` leaves the whole square on one side and None on the
+        # other, and the missing part gets no boundary test.
+        region = rect(-1, -1, 1, 1)
+        q = 0.2
+        step = 2.0 / SIN_PI_8 * q
+        assert cut(region, "horizontal", step) == (None, region)
+        assert cut(region, "vertical", step) == (region, None)
+        stats = RdpStats()
+        pairs = divide(region, Polynomial((0, 1)), q, 1, EvalCounter(), stats)
+        assert pairs == [(region, 1)]
+        assert stats.offsets == [step, step]
+        # Per cut: the failing midline half, then the whole square alone,
+        # four tests in all.
+        assert [p for p, _, _ in stats.ipsr_calls] == [6.0, 8.0, 6.0, 8.0]
 
 
 def _seeded_instances():
@@ -439,8 +456,6 @@ class TestRdp:
         assert contains(boxes[0].region, c)
 
     def test_input_validation(self):
-        with pytest.raises(ValueError, match="empty region"):
-            rdp(EMPTY, CUBE, 1e-3)
         for accuracy in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="^accuracy must be positive and finite$"):
                 rdp(rect(0, 0, 1, 1), CUBE, accuracy)

@@ -604,7 +604,7 @@ def sampled_curves(rng, count):
         x0, y0, x1, y1 = envelope(region)
         for axis, extent in (("horizontal", y1 - y0), ("vertical", x1 - x0)):
             for part in cut(region, axis, rng.uniform(-0.45, 0.45) * extent):
-                if not part.is_empty:
+                if part is not None:
                     yield boundary(part)
 
 
@@ -650,7 +650,7 @@ class TestCurveAgainstReference:
                 axis = rng.choice(("horizontal", "vertical"))
                 extent = (y1 - y0) if axis == "horizontal" else (x1 - x0)
                 lam = rng.choice((0.0, rng.uniform(-0.5, 0.5) * extent))
-                curves.extend(boundary(p) for p in cut(drawn.region, axis, lam) if not p.is_empty)
+                curves.extend(boundary(p) for p in cut(drawn.region, axis, lam) if p is not None)
             for curve in curves:
                 points, cum, edges = reference_curve(curve.region.vertices)
                 assert float_bits(curve.points) == float_bits(points)
