@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 import time
@@ -92,9 +93,11 @@ def parse_poly_shorthand(text: str) -> Polynomial:
     The top degree is the highest whose terms sum to a nonzero value, so
     terms that cancel (``z^100000-z^100000+z``) build no coefficients
     above it; if every sum is zero, the constant 0 is refused as the zero
-    polynomial.
+    polynomial.  A coefficient written beyond float range is refused
+    naming its term, and terms whose sum overflows naming their degree.
+    Any whitespace separates like a space.
     """
-    compact = text.replace(" ", "")
+    compact = "".join(text.split())
     if not compact:
         raise _ParseError("empty polynomial expression")
     degrees: dict[int, float] = {}
@@ -116,7 +119,14 @@ def parse_poly_shorthand(text: str) -> Polynomial:
                     "guard width lies below float resolution on every region"
                 )
             k = int(exponent)
-        degrees[k] = degrees.get(k, 0.0) + sign * coeff
+        if math.isinf(coeff):
+            raise _ParseError(
+                f"coefficient of polynomial term {term!r} is beyond float range"
+            )
+        total = degrees.get(k, 0.0) + sign * coeff
+        if math.isinf(total):
+            raise _ParseError(f"polynomial terms of degree {k} sum beyond float range")
+        degrees[k] = total
     top = max((k for k, c in degrees.items() if c), default=0)
     coeffs = tuple(complex(degrees.get(k, 0.0)) for k in range(top + 1))
     try:

@@ -25,8 +25,8 @@ from __future__ import annotations
 import cmath
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 
+from ._frozen import Frozen
 from .errors import SingularPointError
 
 __all__ = [
@@ -61,8 +61,7 @@ _CONVEXITY_RTOL = 1e-9
 _SLIVER_RTOL = 1e-14
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class ConvexRegion:
+class ConvexRegion(Frozen):
     """Convex polygon with vertices in counterclockwise order.
 
     Every region needs at least three pairwise-distinct consecutive
@@ -74,7 +73,7 @@ class ConvexRegion:
     in one pass over the edges, for cut parts too.
     """
 
-    vertices: tuple[complex, ...]
+    __slots__ = ("vertices",)
 
     def __init__(self, vertices):
         vertices = tuple(map(complex, vertices))

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
+from ._frozen import Frozen
 from .errors import NoConvergenceError, SingularSuspectedError
 from .geometry import BoundaryCurve, ConvexRegion, contains
 from .poly import Polynomial, _horner, _horner_floor, derivative
@@ -37,8 +37,7 @@ _SAMPLES = 4096  # first resolution of the dense samplers, doubled each round
 _RTOL = 1e-6  # relative agreement of successive sampled minima that ends them
 
 
-@dataclass(frozen=True)
-class RootList:
+class RootList(Frozen):
     """All roots of a polynomial, multiplicity expressed by repetition.
 
     ``radii`` (empty when unknown) pairs each root with the radius of a
@@ -46,8 +45,11 @@ class RootList:
     ``count_bounds`` assumes.
     """
 
-    roots: tuple[complex, ...]
-    radii: tuple[float, ...] = ()
+    __slots__ = ("roots", "radii")
+
+    def __init__(self, roots: tuple[complex, ...], radii: tuple[float, ...] = ()):
+        object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "radii", radii)
 
     def __len__(self) -> int:
         return len(self.roots)

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+
+from ._frozen import Frozen
 
 __all__ = ["Polynomial", "EvalCounter", "eval", "derivative", "lipschitz_bound"]
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(Frozen):
     """A polynomial a_0 + a_1 z + ... + a_n z^n over the complex numbers.
 
     ``coeffs`` is kept in ascending degree order with a nonzero leading
@@ -24,10 +24,10 @@ class Polynomial:
     the zero polynomial and non-finite coefficients are rejected.
     """
 
-    coeffs: tuple[complex, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        coeffs = tuple(complex(c) for c in self.coeffs)
+    def __init__(self, coeffs):
+        coeffs = tuple(complex(c) for c in coeffs)
         for c in coeffs:
             if not cmath.isfinite(c):
                 raise ValueError(f"non-finite coefficient {c!r}")
@@ -54,7 +54,6 @@ class Polynomial:
         return cls(coeffs)
 
 
-@dataclass
 class EvalCounter:
     """Evaluation meter with a point -> value memo for a single polynomial.
 
@@ -91,12 +90,18 @@ class EvalCounter:
     and peak RSS rises from 24.9 to 25.5 MB.
     """
 
-    cache: dict[complex, complex] = field(default_factory=dict)
-    samples: dict[complex, list] = field(default_factory=dict)
-    previous_samples: dict[complex, list] = field(default_factory=dict)
-    derivative: Polynomial | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    __slots__ = ("cache", "samples", "previous_samples", "derivative")
+
+    def __init__(
+        self,
+        cache: dict[complex, complex] | None = None,
+        samples: dict[complex, list] | None = None,
+        previous_samples: dict[complex, list] | None = None,
+    ):
+        self.cache = {} if cache is None else cache
+        self.samples = {} if samples is None else samples
+        self.previous_samples = {} if previous_samples is None else previous_samples
+        self.derivative = None
 
     @property
     def evaluations(self) -> int:

@@ -18,8 +18,8 @@ its two-level window of boundary samples after each level (see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
+from ._frozen import Frozen
 from .errors import (
     AccuracyBelowResolutionError,
     CountMismatchError,
@@ -52,19 +52,18 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class RootBox:
+class RootBox(Frozen):
     """A subregion certified to contain ``count`` roots, with multiplicity."""
 
-    region: ConvexRegion
-    count: int
+    __slots__ = ("region", "count")
 
-    def __post_init__(self):
-        if self.count < 1:
+    def __init__(self, region: ConvexRegion, count: int):
+        object.__setattr__(self, "region", region)
+        object.__setattr__(self, "count", count)
+        if count < 1:
             raise ValueError("a root box must hold at least one root")
 
 
-@dataclass
 class RdpStats:
     """Instrumentation of one run.
 
@@ -81,11 +80,21 @@ class RdpStats:
     roots.
     """
 
-    pe: int = 0
-    budget: float = 0.0
-    visited: list[tuple[int, ConvexRegion]] = field(default_factory=list)
-    ipsr_calls: list[tuple[float, float, int]] = field(default_factory=list)
-    offsets: list[float] = field(default_factory=list)
+    __slots__ = ("pe", "budget", "visited", "ipsr_calls", "offsets")
+
+    def __init__(
+        self,
+        pe: int = 0,
+        budget: float = 0.0,
+        visited: list[tuple[int, ConvexRegion]] | None = None,
+        ipsr_calls: list[tuple[float, float, int]] | None = None,
+        offsets: list[float] | None = None,
+    ):
+        self.pe = pe
+        self.budget = budget
+        self.visited = [] if visited is None else visited
+        self.ipsr_calls = [] if ipsr_calls is None else ipsr_calls
+        self.offsets = [] if offsets is None else offsets
 
     @property
     def max_level(self) -> int:

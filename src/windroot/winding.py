@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
+from ._frozen import Frozen
 from .errors import NonTerminationError, SingularPointError
 from .geometry import SIN_PI_8, BoundaryCurve, connected, net_crossings, sector_of
 from .poly import EvalCounter, Polynomial, derivative, eval
@@ -131,16 +131,17 @@ class SampleArray:
         return f"SampleArray(samples={len(self.params)}, insertions={self.insertions})"
 
 
-@dataclass(frozen=True)
-class Normal:
+class Normal(Frozen):
     """Successful outcome: the winding index and the insertions that certified it."""
 
-    index: int
-    insertions: int
+    __slots__ = ("index", "insertions")
+
+    def __init__(self, index: int, insertions: int):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "insertions", insertions)
 
 
-@dataclass(frozen=True)
-class SingularError:
+class SingularError(Frozen):
     """Error outcome: near parameter ``t`` the curve comes too close to the origin.
 
     ``guarantee`` is the bound certified by the exiting procedure: an
@@ -148,9 +149,12 @@ class SingularError:
     condition number for ``ipsr``.
     """
 
-    t: float
-    guarantee: float
-    insertions: int
+    __slots__ = ("t", "guarantee", "insertions")
+
+    def __init__(self, t: float, guarantee: float, insertions: int):
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "guarantee", guarantee)
+        object.__setattr__(self, "insertions", insertions)
 
 
 WindingOutcome = Normal | SingularError

@@ -1,6 +1,5 @@
 """Command-line interface: parsing, JSON output, SVG, exit codes."""
 
-import dataclasses
 import importlib
 import io
 import json
@@ -22,6 +21,7 @@ from windroot import (
     ConvexRegion,
     NoConvergenceError,
     NonTerminationError,
+    Normal,
     Polynomial,
     RootBox,
     SingularError,
@@ -91,6 +91,30 @@ class TestShorthand:
         )
         assert code == 1 and out == ""
         assert err == "windroot: error: the zero polynomial is not representable\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1e999z^2-1e999z^2+z", "coefficient of polynomial term '1e999z^2' is beyond float range"),
+            ("1e999z+1", "coefficient of polynomial term '1e999z' is beyond float range"),
+            ("1e308z^2+1e308z^2+z", "polynomial terms of degree 2 sum beyond float range"),
+        ],
+    )
+    def test_overflow_names_the_term_or_degree(self, text, message):
+        # These used to name a coefficient never written: (nan+0j), (inf+0j).
+        code, out, err = run_cli(
+            ["--poly", text, "--rect", "-1", "-1", "1", "1", "--accuracy", "1"]
+        )
+        assert code == 1 and out == ""
+        assert err == f"windroot: error: {message}\n"
+
+    @pytest.mark.parametrize("text", ["z^3\t+ 1", "z^3 +\n 1", " z^3+1\r\n"])
+    def test_any_whitespace_reads_like_a_space(self, tmp_path, text):
+        assert parse_poly_shorthand(text).coeffs == (1 + 0j, 0j, 0j, 1 + 0j)
+        path = tmp_path / "poly.txt"
+        path.write_text(text, encoding="utf-8", newline="")
+        argv = CUBE_ARGS[2:]
+        assert run_cli(["--poly-file", str(path)] + argv)[:2] == run_cli(CUBE_ARGS)[:2]
 
     def test_leading_zeros_in_the_exponent(self):
         assert parse_poly_shorthand("z^0003+1").coeffs == (1 + 0j, 0j, 0j, 1 + 0j)
@@ -234,6 +258,27 @@ class TestRuns:
             "assert 'xml.etree' not in sys.modules\n"
         )
         assert self.fresh_python(code) == 0
+
+    def test_run_loads_no_introspection_modules(self, tmp_path):
+        # The value types are plain classes: dataclasses loads inspect, ast
+        # and dis, about a third of the time to import the CLI.  -S keeps
+        # site from loading typing, which a clean interpreter pays for too.
+        svg = tmp_path / "cube.svg"
+        argv = CUBE_ARGS + ["--stats", "--svg", str(svg), "--verify"]
+        code = (
+            "import io, sys, contextlib, windroot.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            f"    rc = windroot.cli.main({argv!r})\n"
+            "assert rc == 0, rc\n"
+            "loaded = [m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules]\n"
+            "assert not loaded, loaded\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(windroot.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": src}
+        )
+        assert done.returncode == 0
+        assert svg.stat().st_size > 0
 
     def test_count_mismatch_exits_four_naming_level_and_envelope(self, monkeypatch):
         # A real case is z^46-1 on [-2.1, 2.07] x [-2.13, 2.11] at 1e-3,
@@ -416,7 +461,7 @@ class TestRuns:
         def miscount(*args):
             outcome = ipsr(*args)
             calls.append(outcome)
-            return dataclasses.replace(outcome, index=outcome.index + bump)
+            return Normal(outcome.index + bump, outcome.insertions)
 
         monkeypatch.setattr(rdp_module, "ipsr", miscount)
         code, out, err = run_cli(CUBE_ARGS)
