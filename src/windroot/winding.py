@@ -340,7 +340,8 @@ def ipsr(
     the width test needs it, |f'|) comes from the counter's two-level
     sample window (see ``EvalCounter``); only a point missing from it is
     evaluated, through ``ctr`` and the module-global ``eval``, and
-    classified.
+    classified.  A window hit needs no ``eval``: its point was metered
+    when its record was made.
     """
     if not 0.0 < Q < math.inf:
         raise ValueError("Q must be positive and finite")

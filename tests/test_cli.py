@@ -72,6 +72,15 @@ class TestShorthand:
             with pytest.raises(_ParseError):
                 parse_poly_shorthand(bad)
 
+    @pytest.mark.parametrize("text, term", [("z^3+2*", "+2*"), ("2*", "2*"), ("*z", "*z")])
+    def test_star_stands_only_between_a_coefficient_and_z(self, text, term):
+        # "z^3+2*" used to read as z^3+2, and "2*" as 2.
+        code, out, err = run_cli(
+            ["--poly", text, "--rect", "-1", "-1", "1", "1", "--accuracy", "1"]
+        )
+        assert code == 1 and out == ""
+        assert err == f"windroot: error: cannot parse polynomial term {term!r}\n"
+
     def test_cancelled_top_terms_build_no_coefficients(self):
         # The top degree is that of the highest nonzero sum: building the
         # 100,001 coefficients up to the cancelled terms peaked at 4.9 MB.

@@ -1,4 +1,4 @@
-"""Polynomial construction, Horner evaluation, memoization, and bounds."""
+"""Polynomial construction, Horner evaluation, metering, and bounds."""
 
 import importlib
 import math
@@ -10,7 +10,7 @@ import pytest
 from windroot import Polynomial, derivative, eval, lipschitz_bound
 from windroot.poly import EvalCounter, _horner, _horner_floor
 
-from support import poly_from_roots, random_lead, random_roots, rect
+from support import float_bits, poly_from_roots, random_lead, random_roots, rect
 
 
 class TestConstruction:
@@ -92,9 +92,9 @@ class TestEvalCounter:
         eval(f, 0.25 + 0j, ctr)
         assert ctr.evaluations == 2
 
-    def test_count_is_the_cache_size_and_read_only(self):
+    def test_count_is_the_number_of_points_and_read_only(self):
         ctr = EvalCounter()
-        assert (ctr.cache, ctr.samples, ctr.previous_samples, ctr.derivative) == (
+        assert (ctr.points, ctr.samples, ctr.previous_samples, ctr.derivative) == (
             {},
             {},
             {},
@@ -105,18 +105,26 @@ class TestEvalCounter:
         # The sample window of the boundary test is not metered.
         ctr.samples[4j] = [1j, 2, 1.0, None]
         ctr.previous_samples[5j] = [1j, 2, 1.0, 1.0]
-        assert ctr.evaluations == len(ctr.cache) == 3
+        assert ctr.evaluations == len(ctr.points) == 3
+        assert list(ctr.points) == [1j, 2j, 3j]  # in order of first evaluation
         with pytest.raises(AttributeError):
             ctr.evaluations = 0
 
     def test_uncounted_when_counter_absent(self):
         assert eval(Polynomial((1, 1)), 2 + 0j) == 3 + 0j
 
-    def test_cache_holds_computed_values(self):
-        f = Polynomial((2, 3))
+    def test_metered_eval_stores_no_value_and_records_the_point_once(self):
+        # No value is stored: a metered call computes what an unmetered one
+        # does, to the bit, each time it is asked.
+        f = Polynomial((0.1 + 0.3j, -2.7, 1e-3j, 5.5))
+        z = 0.3 - 1.7j
         ctr = EvalCounter()
-        val = eval(f, 1j, ctr)
-        assert ctr.cache[1j] == val
+        want = eval(f, z)
+        got = [eval(f, z, ctr) for _ in range(3)]
+        assert float_bits(got) == float_bits([want] * 3)
+        assert ctr.points == {z: None}
+        assert eval(f, 1j, ctr) == eval(f, 1j)
+        assert list(ctr.points) == [z, 1j]
 
 
 class TestDerivative:

@@ -405,6 +405,25 @@ class TestRdp:
             _, stats = rdp(region, f, 1e-3)
             assert stats.pe <= stats.budget
 
+    def test_pe_counts_the_distinct_points_evaluated(self, monkeypatch):
+        # pe is the number of distinct points evaluated through the run's
+        # counter, however often a point is evaluated.  A point that left
+        # the two-level sample window is evaluated again.
+        winding = importlib.import_module("windroot.winding")
+        original_eval = winding.eval
+        metered = []
+
+        def recording_eval(g, z, ctr=None):
+            if ctr is not None:
+                metered.append(z)
+            return original_eval(g, z, ctr)
+
+        monkeypatch.setattr(winding, "eval", recording_eval)
+        boxes, stats = rdp(rect(-2, -2, 2, 2), CUBE, 1e-6)
+        assert [b.count for b in boxes] == [1, 1, 1]
+        assert stats.pe == len(set(metered))
+        assert len(metered) > stats.pe
+
     def test_deterministic_across_runs(self):
         a = rdp(rect(-2, -2, 2, 2), CUBE, 1e-3)
         b = rdp(rect(-2, -2, 2, 2), CUBE, 1e-3)

@@ -105,22 +105,30 @@ class TestImmutableValues:
 class TestMutableRecords:
     def test_each_eval_counter_gets_its_own_containers(self):
         a, b = EvalCounter(), EvalCounter()
-        for name in ("cache", "samples", "previous_samples"):
+        for name in ("points", "samples", "previous_samples"):
             assert getattr(a, name) == {}
             assert getattr(a, name) is not getattr(b, name)
         assert a.derivative is None
-        a.cache[1j] = 2j
-        assert b.cache == {}
+        a.points[1j] = None
+        assert b.points == {}
 
     def test_eval_counter_keywords(self):
+        # A counter takes no arguments; a test that needs an instrumented
+        # window assigns it after construction.
+        for args, kwargs in (
+            (({},), {}),
+            ((), {"cache": {}}),
+            ((), {"samples": {}}),
+            ((), {"previous_samples": {}}),
+            ((), {"derivative": Polynomial((1,))}),
+        ):
+            with pytest.raises(TypeError):
+                EvalCounter(*args, **kwargs)
+        ctr = EvalCounter()
         window = {1j: [1j, 2, 1.0, None]}
-        ctr = EvalCounter(samples=window)
+        ctr.samples = window
         assert ctr.samples is window
-        assert ctr.cache == {} and ctr.previous_samples == {}
-        ctr = EvalCounter({}, {}, window)
-        assert ctr.previous_samples is window
-        with pytest.raises(TypeError):
-            EvalCounter(derivative=Polynomial((1,)))
+        assert ctr.points == {} and ctr.previous_samples == {}
 
     def test_each_rdp_stats_gets_its_own_lists(self):
         a, b = RdpStats(), RdpStats()

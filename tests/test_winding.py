@@ -336,7 +336,7 @@ class TestIpsr:
         ctr.next_level()
         assert rerun() == first
         assert (len(f_evals), len(df_evals), len(sectors)) == cold
-        assert ctr.evaluations == cold[0]  # every evaluation was a cache hit
+        assert ctr.evaluations == cold[0]  # every point was already metered
 
     @pytest.mark.xfail(
         strict=True,
@@ -458,7 +458,7 @@ class TestIpsrMatchesScan:
         else:
             assert got == want  # the same NonTerminationError message
         assert got_ctr.evaluations == want_ctr.evaluations
-        assert list(got_ctr.cache) == list(want_ctr.cache)
+        assert list(got_ctr.points) == list(want_ctr.points)
         return want
 
     def test_seeded_instances_agree(self):
@@ -623,7 +623,8 @@ def roots_around(rng, curve):
 
 def ipsr_asked(curve, f, s0, Q):
     """``ipsr``'s outcome and the points it looked up in its window, in order."""
-    ctr = EvalCounter(samples=AskedDict())
+    ctr = EvalCounter()
+    ctr.samples = AskedDict()
     return ipsr(curve, f, s0, Q, ctr), ctr.samples.asked
 
 
@@ -775,11 +776,11 @@ class TestSamplesFromEdges:
         assert ctr.samples == {} and ctr.previous_samples == {}
         # A counter aged after a test on an overlapping curve keeps its window.
         ctr = warmed_counter(f, 1e-3, (boundary(rect(0, 0, 1, 2)), True))
-        before = (dict(ctr.cache), dict(ctr.samples), dict(ctr.previous_samples))
+        before = (dict(ctr.points), dict(ctr.samples), dict(ctr.previous_samples))
         assert before[2]
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ipsr(curve, f, bad, 1e-3, ctr)
-        assert (ctr.cache, ctr.samples, ctr.previous_samples) == before
+        assert (ctr.points, ctr.samples, ctr.previous_samples) == before
 
     def test_initial_samples_returns_a_fresh_list_and_writes_nothing(self):
         rng = random.Random(7414)
