@@ -108,6 +108,18 @@ class ConvexRegion(Frozen):
                 turns.append((cross, e1, e2))
             prev, ax, ay = v, bx, by
             e1, e1x, e1y = e2, e2x, e2y
+        if area2 < 2.0**-900:
+            # The products may have underflowed (a square of side 1e-165
+            # sums to 0), so check the offsets from the first vertex scaled
+            # by the power of two that brings the largest into [0.5, 1),
+            # where they are exact: that region's own checks stand for this
+            # one's.  ldexp scales each coordinate, as the factor itself
+            # overflows for subnormal extents.
+            offsets = [v - origin for v in vertices]
+            k = -math.frexp(max(max(abs(b.real), abs(b.imag)) for b in offsets))[1]
+            if k > 0:
+                ConvexRegion([complex(math.ldexp(b.real, k), math.ldexp(b.imag, k)) for b in offsets])
+                return
         if area2 <= 0.0:
             raise ValueError("vertices must wind counterclockwise")
         for cross, e1, e2 in turns:

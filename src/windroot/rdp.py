@@ -77,24 +77,18 @@ class RdpStats:
     insertions) triple per boundary winding test, and ``offsets`` every
     accepted cut-line offset: one for the horizontal cut of each divided
     region and one per vertical cut, so 2 or 3 per region that holds
-    roots.
+    roots.  ``RdpStats()`` takes no arguments: each field starts at zero
+    or empty, and the run fills it in.
     """
 
     __slots__ = ("pe", "budget", "visited", "ipsr_calls", "offsets")
 
-    def __init__(
-        self,
-        pe: int = 0,
-        budget: float = 0.0,
-        visited: list[tuple[int, ConvexRegion]] | None = None,
-        ipsr_calls: list[tuple[float, float, int]] | None = None,
-        offsets: list[float] | None = None,
-    ):
-        self.pe = pe
-        self.budget = budget
-        self.visited = [] if visited is None else visited
-        self.ipsr_calls = [] if ipsr_calls is None else ipsr_calls
-        self.offsets = [] if offsets is None else offsets
+    def __init__(self):
+        self.pe = 0
+        self.budget = 0.0
+        self.visited: list[tuple[int, ConvexRegion]] = []
+        self.ipsr_calls: list[tuple[float, float, int]] = []
+        self.offsets: list[float] = []
 
     @property
     def max_level(self) -> int:

@@ -20,7 +20,8 @@ parameters, in the scan's order (see ``ipsr``), checks its initial
 parameters in the same walk that computes each initial point from its
 edge (see ``BoundaryCurve``), and reads each sample's image, sector,
 modulus and |f'| from the counter's two-level sample window (see
-``EvalCounter``).
+``EvalCounter``), whose record of a point is made once, when the point
+is evaluated.
 """
 
 from __future__ import annotations
@@ -336,12 +337,12 @@ def ipsr(
     The loop keeps one left sample and a stack of right endpoints, adds
     each clean pair's 7->0 / 0->7 crossing to the index as it goes, and
     keeps no final samples: callers read only the count and the
-    insertions.  Each sample's record (image, sector, |image| and, once
-    the width test needs it, |f'|) comes from the counter's two-level
-    sample window (see ``EvalCounter``); only a point missing from it is
-    evaluated, through ``ctr`` and the module-global ``eval``, and
-    classified.  A window hit needs no ``eval``: its point was metered
-    when its record was made.
+    insertions.  Each sample's record, the tuple (image, sector, |image|,
+    |f'|), comes from the counter's two-level sample window (see
+    ``EvalCounter``).  Only a point missing from it is evaluated, f
+    through ``ctr`` and f' unmetered, both by the module-global ``eval``,
+    and classified: its record is made then, once.  A window hit needs no
+    ``eval``: its point was metered when its record was made.
     """
     if not 0.0 < Q < math.inf:
         raise ValueError("Q must be positive and finite")
@@ -386,9 +387,10 @@ def ipsr(
     feval, sector = eval, sector_of
     samples, previous_samples = ctr.samples, ctr.previous_samples
     guarantee = math.sqrt(2.0) / (4.0 * Q)
-    # Each sample's record [image, sector, |image|, |f'| or None] comes from
-    # the window, or on a miss from a metered evaluation.  As in the scan,
-    # every initial sample is evaluated before the zero check.
+    # Each sample's record (image, sector, |image|, |f'|) comes from the
+    # window, or on a miss from a metered evaluation of f and an unmetered
+    # one of f'.  As in the scan, every initial sample is evaluated before
+    # the zero check.
     rs = []
     zero = None
     for t, p in zip(s0, ps):
@@ -401,27 +403,22 @@ def ipsr(
                     if zero is None:
                         zero = t
                     continue
-                r = [w, sector(w), abs(w), None]
+                r = (w, sector(w), abs(w), abs(feval(df, p)))
             samples[p] = r
         rs.append(r)
     if zero is not None:
         return SingularError(zero, guarantee, 0)
 
-    # The left sample: parameter, point, record and the record's first three
-    # fields (image, sector, |image|); the right sample likewise.
-    initial = zip(s0, ps, rs, es)
-    ta, pa, ra, _ = next(initial)
-    wa, ka, ma, _ = ra
+    # The left sample: its parameter and its record's fields; the right
+    # sample likewise, and the stack holds right samples in that form.
+    initial = zip(s0, rs, es)
+    ta, (wa, ka, ma, da), _ = next(initial)
     index = insertions = 0
-    stack = []  # right endpoints still to visit, nearest on top
+    stack = []  # right samples still to visit, nearest on top
     # Every point a pair's refinement adds lies strictly inside its edge.
-    for tb, pb, rb, (c, a, length, d) in initial:
-        wb, kb, mb, _ = rb
+    for tb, (wb, kb, mb, db), (c, a, length, d) in initial:
         while True:
             if (ka - kb) % 8 in (0, 1, 7):
-                da = ra[3]
-                if da is None:
-                    da = ra[3] = abs(feval(df, pa))
                 failing = ma + mb <= 2.0 * da * (tb - ta) + abs(wb - wa)
             else:
                 failing = True
@@ -430,12 +427,10 @@ def ipsr(
                     index += 1
                 elif ka == 0 and kb == 7:
                     index -= 1
-                ta, pa, ra = tb, pb, rb
-                wa, ka, ma = wb, kb, mb
+                ta, wa, ka, ma, da = tb, wb, kb, mb, db
                 if not stack:
                     break
-                tb, pb, rb = stack.pop()
-                wb, kb, mb, _ = rb
+                tb, wb, kb, mb, db = stack.pop()
                 continue
             mid = 0.5 * (ta + tb)
             if not ta < mid < tb:
@@ -451,15 +446,15 @@ def ipsr(
                     wm = feval(f, pm, ctr)
                     if wm == 0:
                         return SingularError(mid, guarantee, insertions)
-                    rm = [wm, sector(wm), abs(wm), None]
+                    rm = (wm, sector(wm), abs(wm), abs(feval(df, pm)))
                 samples[pm] = rm
             if mid - ta <= Q:
                 # The guard fired; as in ``_refine``, report the pre-split
                 # endpoint with the smaller modulus (ties go left).
                 return SingularError(ta if ma <= mb else tb, guarantee, insertions)
-            stack.append((tb, pb, rb))
-            tb, pb, rb = mid, pm, rm
-            wb, kb, mb, _ = rm
+            stack.append((tb, wb, kb, mb, db))
+            tb = mid
+            wb, kb, mb, db = rm
     return Normal(index, insertions)
 
 

@@ -227,6 +227,15 @@ class TestRuns:
             x0, y0, x1, y1 = box["envelope"]
             assert math.hypot(x1 - x0, y1 - y0) < 1e-8
 
+    def test_tiny_region_solves(self):
+        # The orientation products of a square of side 2e-200 underflow to
+        # 0; it was refused as clockwise (exit 1).
+        code, out, err = run_cli(
+            ["--poly", "z", "--rect", "-1e-200", "-1e-200", "1e-200", "1e-200", "--accuracy", "1e-201"]
+        )
+        assert (code, err) == (0, "")
+        assert [b["count"] for b in json.loads(out)["boxes"]] == [1]
+
     def fresh_python(self, code: str) -> int:
         src = os.path.dirname(os.path.dirname(os.path.abspath(windroot.__file__)))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

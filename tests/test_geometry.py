@@ -46,16 +46,25 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ConvexRegion((0j, 1j, 1 + 1j, 1 + 0j))
 
-    @pytest.mark.parametrize("corner, side", [(0.5 + 0.5j, 1e-9), (1000 + 1000j, 1e-7)])
+    @pytest.mark.parametrize(
+        "corner, side",
+        [(0.5 + 0.5j, 1e-9), (1000 + 1000j, 1e-7), (0j, 1e-170), (0j, 5e-320)],
+    )
     def test_orientation_of_tiny_or_far_square(self, corner, side):
+        # At 1e-170 every product of two coordinates underflows to 0; at
+        # 5e-320 the coordinates themselves are subnormal.
         ccw = tuple(corner + side * d for d in (0, 1, 1 + 1j, 1j))
         assert ConvexRegion(ccw).vertices == ccw
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^vertices must wind counterclockwise$"):
             ConvexRegion(ccw[::-1])
 
     def test_nonconvex_rejected(self):
-        with pytest.raises(ValueError):
-            ConvexRegion((0j, 2 + 0j, 2 + 2j, 1 + 0.5j, 0 + 2j))
+        # An arrow with a reflex vertex at 1 + 0.5j, at any scale: at 1e-170
+        # and below its cross products underflow to 0.
+        for scale in (1.0, 1e-170, 1e-300):
+            arrow = tuple(scale * v for v in (0j, 2 + 0j, 2 + 2j, 1 + 0.5j, 0 + 2j))
+            with pytest.raises(ValueError, match="^polygon is not convex$"):
+                ConvexRegion(arrow)
 
     def test_duplicate_consecutive_vertices_rejected(self):
         with pytest.raises(ValueError):

@@ -103,8 +103,8 @@ class TestEvalCounter:
         for z in (1j, 2j, 1j, 3j):
             eval(Polynomial((1, 1)), z, ctr)
         # The sample window of the boundary test is not metered.
-        ctr.samples[4j] = [1j, 2, 1.0, None]
-        ctr.previous_samples[5j] = [1j, 2, 1.0, 1.0]
+        ctr.samples[4j] = (1j, 2, 1.0, 3.0)
+        ctr.previous_samples[5j] = (1j, 2, 1.0, 1.0)
         assert ctr.evaluations == len(ctr.points) == 3
         assert list(ctr.points) == [1j, 2j, 3j]  # in order of first evaluation
         with pytest.raises(AttributeError):

@@ -125,7 +125,7 @@ class TestMutableRecords:
             with pytest.raises(TypeError):
                 EvalCounter(*args, **kwargs)
         ctr = EvalCounter()
-        window = {1j: [1j, 2, 1.0, None]}
+        window = {1j: (1j, 2, 1.0, 3.0)}
         ctr.samples = window
         assert ctr.samples is window
         assert ctr.points == {} and ctr.previous_samples == {}
@@ -142,7 +142,14 @@ class TestMutableRecords:
         assert (a.pe, a.budget, a.max_level) == (5, 9.5, 0)
 
     def test_rdp_stats_keywords(self):
-        visited = [(0, square(0)), (2, square(1))]
-        stats = RdpStats(pe=3, budget=4.0, visited=visited)
-        assert stats.visited is visited and stats.max_level == 2
-        assert stats.ipsr_calls == [] and stats.offsets == []
+        # Run statistics take no arguments; the run fills them in.
+        for args, kwargs in (
+            ((3,), {}),
+            ((), {"pe": 3}),
+            ((), {"budget": 4.0}),
+            ((), {"visited": []}),
+            ((), {"ipsr_calls": []}),
+            ((), {"offsets": []}),
+        ):
+            with pytest.raises(TypeError):
+                RdpStats(*args, **kwargs)

@@ -20,6 +20,7 @@ from windroot import (
     boundary,
     choose_q,
     cut,
+    derivative,
     divide,
     envelope,
     initial_samples,
@@ -32,8 +33,9 @@ from windroot import (
     pred_q,
     pred_q2,
     pred_r,
+    rdp,
 )
-from windroot.geometry import SIN_PI_8
+from windroot.geometry import SIN_PI_8, sector_of
 from windroot.poly import EvalCounter, eval as peval
 from windroot.rdp import RdpStats
 from windroot.winding import SampleArray, _refine
@@ -326,8 +328,7 @@ class TestIpsr:
         assert isinstance(first, Normal)
         cold = (len(f_evals), len(df_evals), len(sectors))
         # The closure revisits the start point, which the window serves.
-        assert cold[0] == cold[2] == len(ctr.samples) == ctr.evaluations
-        assert 0 < cold[1] <= cold[0]
+        assert cold[0] == cold[1] == cold[2] == len(ctr.samples) == ctr.evaluations
         assert rerun() == first and f_evals == df_evals == sectors == []
         ctr.next_level()  # the previous level still serves, and moves up
         assert rerun() == first and f_evals == df_evals == sectors == []
@@ -337,6 +338,62 @@ class TestIpsr:
         assert rerun() == first
         assert (len(f_evals), len(df_evals), len(sectors)) == cold
         assert ctr.evaluations == cold[0]  # every point was already metered
+
+    def test_window_records_are_made_once_and_whole(self, monkeypatch):
+        # Every record that a run's window held, in any level, is the
+        # tuple (f(z), sector, |f(z)|, |f'(z)|), bit for bit as computed
+        # afresh at its point.  Levels only gain records until they age
+        # out, so each level is checked as the run left it.
+        rdp_module = importlib.import_module("windroot.rdp")
+        original_ipsr = rdp_module.ipsr
+        levels = {}
+
+        def keeping_ipsr(curve, f, s0, Q, ctr):
+            out = original_ipsr(curve, f, s0, Q, ctr)
+            for window in (ctr.samples, ctr.previous_samples):
+                levels[id(window)] = window
+            return out
+
+        monkeypatch.setattr(rdp_module, "ipsr", keeping_ipsr)
+        f = Polynomial((1, 0, 0, 1))
+        boxes, stats = rdp(rect(-2, -2, 2, 2), f, 1e-6)
+        assert [b.count for b in boxes] == [1, 1, 1]
+        assert len(levels) > stats.max_level > 10
+        df = derivative(f)
+        for window in levels.values():
+            for z, record in window.items():
+                assert type(record) is tuple
+                w = peval(f, z)
+                want = (w, sector_of(w), abs(w), abs(peval(df, z)))
+                assert float_bits(record) == float_bits(want)
+
+    def test_one_derivative_evaluation_per_nonzero_metered_one(self, monkeypatch):
+        # Each metered evaluation of f that is not zero is followed at once
+        # by the unmetered evaluation of f' at the same point, which
+        # completes the point's record; a zero image makes no record.
+        winding_module = importlib.import_module("windroot.winding")
+        original_eval = winding_module.eval
+        calls = []
+
+        def recording_eval(g, z, ctr=None):
+            w = original_eval(g, z, ctr)
+            calls.append((ctr is not None, z, w))
+            return w
+
+        monkeypatch.setattr(winding_module, "eval", recording_eval)
+        # A whole run, a zero image at an initial sample (0.5) and one at a
+        # midpoint (0.25).
+        rdp(rect(-2, -2, 2, 2), Polynomial((1, 0, 0, 1)), 1e-6)
+        for root in (0.5, 0.25):
+            out, _, _ = self.run(Polynomial((-root, 1)), rect(0, 0, 1, 1))
+            assert isinstance(out, SingularError) and out.t == root
+        want = []
+        for metered, z, w in calls:
+            if metered:
+                want.append((True, z))
+                if w != 0:
+                    want.append((False, z))
+        assert [(metered, z) for metered, z, _ in calls] == want
 
     @pytest.mark.xfail(
         strict=True,
