@@ -8,10 +8,11 @@ success, 1 bad request (an accuracy or a region edge below the region's
 float resolution, or a polynomial whose values could overflow on the
 region, is refused before any work), an ``--svg`` path that cannot be
 written, or a ``--verify`` disagreement, 2 root too close to the initial
-boundary, 3 no root-free cut line, 4 internal solver failure (an initial
-count outside [0, degree], cut parts whose counts do not add up, a
-boundary parameter gap below float resolution, or a geometry or
-boundary-test step that refuses its arguments during subdivision).
+boundary, 3 no root-free cut line or the depth limit reached, 4 internal
+solver failure (an initial count outside [0, degree], cut parts whose
+counts do not add up, a boundary parameter gap below float resolution,
+or a geometry or boundary-test step that refuses its arguments during
+subdivision).
 """
 
 from __future__ import annotations

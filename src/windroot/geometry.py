@@ -137,9 +137,9 @@ class ConvexRegion(Frozen):
         try:
             rect = "rect" in data
             if rect:
-                x0, y0, x1, y1 = (float(c) for c in data["rect"])
+                x0, y0, x1, y1 = json_reals(data["rect"])
             else:
-                vertices = tuple(complex(float(x), float(y)) for x, y in data["vertices"])
+                vertices = tuple(complex(x, y) for x, y in map(json_reals, data["vertices"]))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed region JSON: {exc}") from exc
         if rect:
@@ -149,6 +149,16 @@ class ConvexRegion(Frozen):
                 raise ValueError("rectangle has zero width or height")
             vertices = (complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1))
         return cls(vertices)
+
+
+def json_reals(values) -> list[float]:
+    """A JSON list of numbers as floats; each must be an int or a float, not a bool."""
+    if not isinstance(values, (list, tuple)):
+        raise TypeError(f"{values!r} is not a list of numbers")
+    for x in values:
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise TypeError(f"could not convert {x!r} to a number")
+    return [float(x) for x in values]
 
 
 def diam_h(region: ConvexRegion) -> float:

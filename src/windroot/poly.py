@@ -13,6 +13,7 @@ import cmath
 import math
 
 from ._frozen import Frozen
+from .geometry import json_reals
 
 __all__ = ["Polynomial", "EvalCounter", "eval", "derivative", "lipschitz_bound"]
 
@@ -48,8 +49,7 @@ class Polynomial(Frozen):
     def from_json(cls, data: dict) -> "Polynomial":
         """Build from ``{"coeffs": [[re, im], ...]}`` in ascending degree order."""
         try:
-            pairs = data["coeffs"]
-            coeffs = tuple(complex(float(re), float(im)) for re, im in pairs)
+            coeffs = tuple(complex(re, im) for re, im in map(json_reals, data["coeffs"]))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed polynomial JSON: {exc}") from exc
         return cls(coeffs)
@@ -67,28 +67,21 @@ class EvalCounter:
     ``samples`` and ``previous_samples`` hold the boundary samples of
     ``winding.ipsr`` over a window of two subdivision levels, the current
     one and the one before.  Each maps a point z to its record, the tuple
-    ``(f(z), sector, |f(z)|, |f'(z)|)``.  ``ipsr`` reads ``samples``, then
-    ``previous_samples`` (moving a hit there into ``samples``); only on a
-    miss does it evaluate f, metered, and f', not metered, and make the
-    record, once.  ``rdp`` calls ``next_level`` after each level, which
+    ``(f(z), sector, |f(z)|, |f'(z)|)``; ``ipsr`` states how it reads
+    and fills them.  ``rdp`` calls ``next_level`` after each level, which
     ages the window and drops the older level.  The window is the run's
-    only memo of values: a point in it is already in ``points``, and a
-    point that left it is evaluated again, to the same bits, and is not
-    counted again (about 2% of the window misses on the benchmark
-    workloads).  ``derivative`` holds f', built by the first ``ipsr``
-    call of the run, so that no later boundary test builds it again or
-    finds it by hashing the coefficients.
+    only memo of values: a point that left it is evaluated again, to the
+    same bits, and is not counted again (about 2% of the window misses on
+    the benchmark workloads).  ``derivative`` holds f', built by the
+    first ``ipsr`` call of the run, so that no later boundary test builds
+    it again or finds it by hashing the coefficients.
 
     The window is not run-wide because nearly every repeated point
     recurs in its own level or the next (a cut part shares its boundary
     with its parent and its sibling), while a run-wide memo holds every
     boundary point of the run.  For |f'| alone, a run-wide memo saved 61%
     of the derivative evaluations on the high-degree benchmark against
-    the window's 60%, but raised peak RSS by 14% against 3.5%.  Nearly
-    every sample is at some point a left sample whose |f'| the width
-    test reads, so evaluating f' on every miss rather than at the first
-    read costs few extra evaluations: at seed 4712, 76 on the deep-low
-    benchmark (+0.04%), 746 on clustered (+0.34%) and 10 on high-degree.
+    the window's 60%, but raised peak RSS by 14% against 3.5%.
     """
 
     __slots__ = ("points", "samples", "previous_samples", "derivative")

@@ -305,7 +305,7 @@ def rdp(
     while frontier:
         next_frontier: list[tuple[ConvexRegion, int]] = []
         for reg, cnt in frontier:
-            width = dr if level == 0 else diam_rect(reg)  # level 0: the region alone
+            width = diam_rect(reg)
             if width < accuracy:
                 # The count computed when this piece was created is
                 # reused; recounting would repeat identical evaluations

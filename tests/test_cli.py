@@ -767,6 +767,9 @@ class TestBadInvocations:
             ('{"vertices": []}', "a region needs at least 3 vertices"),
             ('{"vertices": [[0, 0], [1e999, 0], [1, 1]]}', "non-finite vertex (inf+0j)"),
             ('{"rect": [0, 0, 0, 1]}', "rectangle has zero width or height"),
+            ('{"vertices": ["00", "40", "44", "04"]}', "malformed region JSON: '00' is not a list"),
+            ('{"rect": [false, false, true, true]}', "malformed region JSON: could not convert False"),
+            ('{"rect": "0044"}', "malformed region JSON: '0044' is not a list"),
         ],
         ids=[
             "three-numbers",
@@ -780,6 +783,9 @@ class TestBadInvocations:
             "no-vertices",
             "infinite-vertex",
             "zero-width",
+            "string-vertices",
+            "boolean-rect",
+            "string-rect",
         ],
     )
     def test_bad_region_file_is_one_error_line(self, tmp_path, text, message):
@@ -805,6 +811,8 @@ class TestBadInvocations:
             ("--region-file", "[" * 100_000, "malformed region JSON: maximum recursion depth"),
             ("--poly-file", b"\xff z", "cannot read "),
             ("--region-file", b'{"rect": [0, 0, 1, 1]}\xff', "cannot read "),
+            ("--poly", '{"coeffs": ["12", "34"]}', "malformed polynomial JSON: '12' is not a list"),
+            ("--poly", '{"coeffs": [[true, 0], [1, 0]]}', "malformed polynomial JSON: could not convert True"),
         ],
         ids=[
             "poly-beyond-float-range",
@@ -815,6 +823,8 @@ class TestBadInvocations:
             "region-file-nested-too-deep",
             "poly-file-not-utf8",
             "region-file-not-utf8",
+            "poly-string-coefficients",
+            "poly-boolean-coefficient",
         ],
     )
     def test_unreadable_number_or_file_is_one_error_line(self, tmp_path, flag, text, message):

@@ -87,6 +87,23 @@ class TestConstruction:
         with pytest.raises(ValueError):
             rect(0, 0, 0, 1)
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"vertices": ["00", "40", "44", "04"]},
+            {"vertices": [[0, 0], [4, 0], [True, 1]]},
+            {"rect": [False, False, True, True]},
+            {"rect": "0044"},
+            {"rect": [0, 0, "1", 1]},
+        ],
+        ids=["string-vertices", "bool-vertex", "bool-rect", "string-rect", "string-number"],
+    )
+    def test_from_json_refuses_what_is_not_a_number(self, data):
+        # Each of these used to read as a region: a two-character string
+        # unpacked as a vertex, and a bool as 0 or 1.
+        with pytest.raises(ValueError, match="^malformed region JSON: "):
+            ConvexRegion.from_json(data)
+
 
 class TestDiameters:
     def test_unit_square(self):

@@ -51,6 +51,17 @@ class TestConstruction:
         with pytest.raises(ValueError, match="^malformed polynomial JSON: int too large"):
             Polynomial.from_json({"coeffs": [[1, 0], [10**400, 0]]})
 
+    @pytest.mark.parametrize(
+        "coeffs",
+        [["12", "34"], [[True, 0], [1, 0]], [[1, "0"]], [[1]], [(1, 0, 0)], [{"1": 0, "2": 0}]],
+        ids=["string-pairs", "bool", "string-number", "one-number", "three-numbers", "dict"],
+    )
+    def test_from_json_refuses_what_is_not_a_pair_of_numbers(self, coeffs):
+        # A two-character string or a two-key dict used to unpack as a pair,
+        # and a bool used to read as 0 or 1.
+        with pytest.raises(ValueError, match="^malformed polynomial JSON: "):
+            Polynomial.from_json({"coeffs": coeffs})
+
 
 class TestEval:
     def test_constant_term(self):

@@ -601,6 +601,14 @@ class TestIpsrMatchesScan:
         assert out == SingularError(0.0, math.sqrt(2.0), 1)
         # An exactly zero image at an initial sample.
         self.assert_same(boundary(rect(0, 0, 1, 1)), Polynomial((-0.5, 1)), 1e-3)
+        # Several: z(z - 1) vanishes at the initial samples t = 0, 1 and 4.
+        # Every initial sample is metered (8 points, as t = 4 is t = 0),
+        # the first zero in s0 order is reported, and a zero gets no record.
+        f = Polynomial((0, -1, 1))
+        out = self.assert_same(boundary(rect(0, 0, 1, 1)), f, 1e-3)
+        assert out == SingularError(0.0, math.sqrt(2.0) / 4e-3, 0)
+        _, ctr = outcome_and_meter(ipsr, boundary(rect(0, 0, 1, 1)), f, 1e-3)
+        assert (ctr.evaluations, len(ctr.samples)) == (8, 6)
         # A guard width below the float spacing of the parameter.
         f = Polynomial((-1,) + (0,) * 59 + (1,))
         region = rect(1, -2.1, 3, 2.3)
