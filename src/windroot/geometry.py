@@ -94,7 +94,7 @@ class ConvexRegion(Frozen):
         e1 = origin - vertices[-1]
         e1x, e1y = e1.real, e1.imag
         area2 = 0.0
-        turns = []  # (cross product, e1, e2) at each vertex turning clockwise
+        turns = []  # (cross product, tolerance) at each vertex turning clockwise
         for v in vertices[1:] + vertices[:1]:
             e2 = v - prev
             if not e2:
@@ -104,26 +104,36 @@ class ConvexRegion(Frozen):
             area2 += ax * by - bx * ay
             e2x, e2y = e2.real, e2.imag
             cross = e1x * e2y - e1y * e2x
-            if cross < 0.0:
-                turns.append((cross, e1, e2))
+            if not cross >= 0.0:  # NaN too: inf - inf where the products overflowed
+                try:
+                    tol = _CONVEXITY_RTOL * abs(e1) * abs(e2)
+                except OverflowError:  # |e| beyond float range from finite parts
+                    tol = math.inf
+                turns.append((cross, tol))
             prev, ax, ay = v, bx, by
             e1, e1x, e1y = e2, e2x, e2y
-        if area2 < 2.0**-900:
+        overflow = not -math.inf < area2 < math.inf or not all(tol < math.inf for _, tol in turns)
+        if overflow or area2 < 2.0**-900:
             # The products may have underflowed (a square of side 1e-165
-            # sums to 0), so check the offsets from the first vertex scaled
-            # by the power of two that brings the largest into [0.5, 1),
-            # where they are exact: that region's own checks stand for this
-            # one's.  ldexp scales each coordinate, as the factor itself
-            # overflows for subnormal extents.
-            offsets = [v - origin for v in vertices]
+            # sums to 0) or overflowed (an arrow of side 1e160 gives an
+            # infinite tolerance, which no cross product falls below), so
+            # check the offsets from the first vertex scaled by the power of
+            # two that brings the largest into [0.5, 1), where they are
+            # exact: that region's own checks stand for this one's.  ldexp
+            # scales each coordinate, as the factor itself overflows for
+            # subnormal extents.  On overflow the vertices are halved first
+            # (exact but in the last bit of a subnormal coordinate), so that
+            # an offset across the float range stays finite.
+            h = 0.5 if overflow else 1.0
+            offsets = [h * v - h * origin for v in vertices]
             k = -math.frexp(max(max(abs(b.real), abs(b.imag)) for b in offsets))[1]
-            if k > 0:
+            if k > 0 or overflow:
                 ConvexRegion([complex(math.ldexp(b.real, k), math.ldexp(b.imag, k)) for b in offsets])
                 return
         if area2 <= 0.0:
             raise ValueError("vertices must wind counterclockwise")
-        for cross, e1, e2 in turns:
-            if cross < -_CONVEXITY_RTOL * abs(e1) * abs(e2):
+        for cross, tol in turns:
+            if cross < -tol:
                 raise ValueError("polygon is not convex")
 
     @classmethod

@@ -193,7 +193,7 @@ def divide(
 
 
 def _check_resolution(curve: BoundaryCurve, q: float) -> None:
-    """Raise ValueError unless every edge spans u or more and q >= 4u.
+    """Raise ValueError unless the perimeter is finite, every edge spans u and q >= 4u.
 
     u = max(ulp(perimeter), ulp(c)), c the largest coordinate modulus,
     bounds the spacing of parameters and coordinates on this curve and
@@ -204,8 +204,12 @@ def _check_resolution(curve: BoundaryCurve, q: float) -> None:
     q - u.  Points are computed to about u.  So q >= 4u keeps every
     split pair wider than 3u, with distinct samples in order, and the
     gap guard fires before bisection reaches float resolution.  A q
-    below 4u raises AccuracyBelowResolutionError.
+    below 4u raises AccuracyBelowResolutionError.  A perimeter that
+    overflows makes u infinite, which no accuracy or edge can meet, so it
+    is refused first, as a plain ValueError.
     """
+    if not curve.perimeter < math.inf:
+        raise ValueError("the region's perimeter overflows double precision; shrink the region")
     c = max(max(abs(v.real), abs(v.imag)) for v in curve.points)
     u = max(math.ulp(curve.perimeter), math.ulp(c))
     ts = curve.vertex_params
@@ -256,10 +260,11 @@ def rdp(
     at the guard width choose_q(a, n, n), n the degree, then subdivides
     level by level at choose_q(a, n0, n).  Returns the boxes sorted by
     envelope center together with run statistics.  Raises, besides
-    ValueError on bad input (up front for values that could overflow or
-    an edge below float resolution, see ``_check_range`` and
-    ``_check_resolution``): AccuracyBelowResolutionError before any
-    evaluation when the first width is below float resolution;
+    ValueError on bad input (up front for values that could overflow, a
+    perimeter that overflows or an edge below float resolution, see
+    ``_check_range`` and ``_check_resolution``):
+    AccuracyBelowResolutionError before any evaluation when the first
+    width is below float resolution;
     InitialRegionSingularError when a root sits too close to the border;
     SubdivisionFailedError when no trial line cuts a region or the depth
     limit is reached; and the internal failures CountMismatchError (n0

@@ -19,9 +19,10 @@ Three refinement procedures insert samples into a closed curve:
 parameters, in the scan's order (see ``ipsr``), checks its initial
 parameters in the same walk that computes each initial point from its
 edge (see ``BoundaryCurve``), and reads each sample's image, sector,
-modulus and |f'| from the counter's two-level sample window through
-one lookup (see ``ipsr``), which makes a point's record once, when the
-point is evaluated.
+modulus and |f'| from the counter's two-level sample window inline,
+with no call per lookup (see ``ipsr``), which makes a point's record
+once, when the point is evaluated.  It tests each pair with one sector
+difference, which decides both connectivity and the pair's crossing.
 """
 
 from __future__ import annotations
@@ -48,6 +49,10 @@ __all__ = [
     "ipsr",
     "initial_samples",
 ]
+
+# The differences ka - kb of two sectors in 0..7 that ``connected`` accepts:
+# equal, or adjacent modulo 8, where 7 is a 7->0 step and -7 a 0->7 step.
+_CONNECTED_STEPS = frozenset((-7, -1, 0, 1, 7))
 
 
 def _checked_params(params) -> list[float]:
@@ -334,22 +339,29 @@ def ipsr(
     split pair's left half.  So every insertion, error exit, evaluated
     point and the count are the scan's, without a sample array or a
     predicate call per pair; the tests keep the scan as the reference.
-    The loop keeps one left sample and a stack of right endpoints, adds
-    each clean pair's 7->0 / 0->7 crossing to the index as it goes, and
+    The loop keeps one left sample and a stack of right endpoints and
     keeps no final samples: callers read only the count and the
-    insertions.
+    insertions.  It tests a pair (a, b) with one sector difference
+    dk = ka - kb: the pair is clean iff dk is in ``_CONNECTED_STEPS``
+    ({-7, -1, 0, 1, 7}, the differences ``connected`` accepts) and
+    ``not |wa| + |wb| <= 2 |f'(a)| (tb - ta) + |wb - wa|`` (``pred_q2``
+    fails; a NaN width test stays clean), and a clean pair adds its
+    crossing to the index as it goes: +1 at dk = 7 (7->0), -1 at dk = -7
+    (0->7), as ``net_crossings`` counts.
 
     Each sample's record, the tuple (image, sector, |image|, |f'|), comes
-    from the counter's two-level sample window through one lookup:
-    ``samples`` (the current level), then ``fetch``, which moves the
-    record up from ``previous_samples`` or else makes it, once, from f
+    from the counter's two-level sample window, read inline at each of
+    the two sites, the initial samples and the midpoints, with no call
+    per lookup: ``samples.get(p)`` (the current level); on a miss
+    ``previous_samples.pop(p, None)``, whose record moves up into
+    ``samples``; on a second miss the record is made, once, from f
     (metered through ``ctr``) and f' (not metered), both by the
-    module-global ``eval``.  f' on every miss costs few extra
-    evaluations, as nearly every sample is at some point a left sample
-    whose |f'| the width test reads: at seed 4712, +0.04% on the
-    deep-low benchmark, +0.34% on clustered.  An exact zero image gets
-    no record: the lookup gives None, and ``ipsr`` exits with
-    SingularError at the first such parameter.
+    module-global ``eval``, and stored in ``samples``.  f' on every miss
+    costs few extra evaluations, as nearly every sample is at some point
+    a left sample whose |f'| the width test reads: at seed 4712, +0.04%
+    on the deep-low benchmark, +0.34% on clustered.  An exact zero image
+    gets no record, and ``ipsr`` exits with SingularError at the first
+    such parameter, for the initial samples after every one is read.
     """
     if not 0.0 < Q < math.inf:
         raise ValueError("Q must be positive and finite")
@@ -393,20 +405,24 @@ def ipsr(
     # installed on this module's ``eval`` and ``sector_of`` see every call.
     feval, sector = eval, sector_of
     samples, previous_samples = ctr.samples, ctr.previous_samples
-
-    def fetch(p):  # the window protocol: see the docstring
-        r = previous_samples.pop(p, None)
-        if r is None:
-            w = feval(f, p, ctr)
-            if w == 0:
-                return None
-            r = (w, sector(w), abs(w), abs(feval(df, p)))
-        samples[p] = r
-        return r
+    steps = _CONNECTED_STEPS
 
     guarantee = math.sqrt(2.0) / (4.0 * Q)
-    # As in the scan, every initial sample is evaluated before the zero check.
-    rs = [samples.get(p) or fetch(p) for p in ps]
+    # The window read (see the docstring) of each initial sample; as in
+    # the scan, every one is read before the zero check.
+    rs = []
+    for p in ps:
+        r = samples.get(p)
+        if r is None:
+            r = previous_samples.pop(p, None)
+            if r is None:
+                w = feval(f, p, ctr)
+                if w == 0:
+                    rs.append(None)
+                    continue
+                r = (w, sector(w), abs(w), abs(feval(df, p)))
+            samples[p] = r
+        rs.append(r)
     if None in rs:
         return SingularError(s0[rs.index(None)], guarantee, 0)
 
@@ -419,14 +435,11 @@ def ipsr(
     # Every point a pair's refinement adds lies strictly inside its edge.
     for tb, (wb, kb, mb, db), (c, a, length, d) in initial:
         while True:
-            if (ka - kb) % 8 in (0, 1, 7):
-                failing = ma + mb <= 2.0 * da * (tb - ta) + abs(wb - wa)
-            else:
-                failing = True
-            if not failing:
-                if ka == 7 and kb == 0:
+            dk = ka - kb  # the pair rule: see the docstring
+            if dk in steps and not ma + mb <= 2.0 * da * (tb - ta) + abs(wb - wa):
+                if dk == 7:
                     index += 1
-                elif ka == 0 and kb == 7:
+                elif dk == -7:
                     index -= 1
                 ta, wa, ka, ma, da = tb, wb, kb, mb, db
                 if not stack:
@@ -440,9 +453,15 @@ def ipsr(
                 )
             pm = a + ((mid - c) / length) * d
             insertions += 1
-            rm = samples.get(pm) or fetch(pm)
+            rm = samples.get(pm)  # the window read, as for the initial samples
             if rm is None:
-                return SingularError(mid, guarantee, insertions)
+                rm = previous_samples.pop(pm, None)
+                if rm is None:
+                    w = feval(f, pm, ctr)
+                    if w == 0:
+                        return SingularError(mid, guarantee, insertions)
+                    rm = (w, sector(w), abs(w), abs(feval(df, pm)))
+                samples[pm] = rm
             if mid - ta <= Q:
                 # The guard fired; as in ``_refine``, report the pre-split
                 # endpoint with the smaller modulus (ties go left).

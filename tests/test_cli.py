@@ -43,6 +43,8 @@ def run_cli(argv):
 
 
 CUBE_ARGS = ["--poly", "z^3+1", "--rect", "-2", "-2", "2", "2", "--accuracy", "1e-3"]
+VALUES_OVERFLOW = "polynomial values overflow double precision on the region "
+PERIMETER_OVERFLOW = "the region's perimeter overflows double precision; shrink the region\n"
 
 
 class TestShorthand:
@@ -405,19 +407,29 @@ class TestRuns:
         )
 
     @pytest.mark.parametrize(
-        "poly, rect, accuracy",
+        "poly, rect, accuracy, message",
         [
             # |f'| overflowed on the boundary: a false singular boundary (exit 2).
-            ("1e305z^100-1", ["0.5", "0.5", "0.74", "0.74"], "1e-3"),
+            ("1e305z^100-1", ["0.5", "0.5", "0.74", "0.74"], "1e-3", VALUES_OVERFLOW),
             # The derivative's coefficients overflowed (exit 1, "non-finite coefficient").
-            ("1e307z^100-1", ["0.1", "0.1", "0.7", "0.7"], "1e-3"),
+            ("1e307z^100-1", ["0.1", "0.1", "0.7", "0.7"], "1e-3", VALUES_OVERFLOW),
             # f overflowed to NaN on the boundary (exit 1 after evaluating).
-            ("z^120-1", ["1000", "1000", "1001", "1001"], "1e-2"),
+            ("z^120-1", ["1000", "1000", "1001", "1001"], "1e-2", VALUES_OVERFLOW),
+            # The perimeter overflowed: "raise the accuracy" (guard width below
+            # 4 ulp, inf) and "lengthen the edge" (resolution inf) could not help.
+            ("z", ["-1e308", "-1e308", "1e308", "1e308"], "1e308", PERIMETER_OVERFLOW),
+            ("z", ["0", "0", "1.7e308", "1.7e308"], "1e308", PERIMETER_OVERFLOW),
         ],
-        ids=["derivative-values", "derivative-coefficients", "values"],
+        ids=[
+            "derivative-values",
+            "derivative-coefficients",
+            "values",
+            "perimeter-across-the-origin",
+            "perimeter",
+        ],
     )
     def test_values_overflowing_double_precision_refused_up_front(
-        self, monkeypatch, poly, rect, accuracy
+        self, monkeypatch, poly, rect, accuracy, message
     ):
         def never(*args):
             pytest.fail("a boundary test ran")
@@ -425,9 +437,8 @@ class TestRuns:
         monkeypatch.setattr(importlib.import_module("windroot.rdp"), "ipsr", never)
         code, out, err = run_cli(["--poly", poly, "--rect", *rect, "--accuracy", accuracy])
         assert code == 1 and out == ""
-        assert err.startswith(
-            "windroot: polynomial values overflow double precision on the region "
-        )
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"windroot: {message}")
 
     def test_large_coefficients_within_double_range_run(self):
         # 4 * 100 * (1e305 + 1) is still finite on a region inside |z| < 1.
@@ -770,6 +781,12 @@ class TestBadInvocations:
             ('{"vertices": ["00", "40", "44", "04"]}', "malformed region JSON: '00' is not a list"),
             ('{"rect": [false, false, true, true]}', "malformed region JSON: could not convert False"),
             ('{"rect": "0044"}', "malformed region JSON: '0044' is not a list"),
+            # A reflex vertex, with edges whose length overflows (|e| raised
+            # OverflowError) and offsets across the float range.
+            (
+                '{"vertices": [[-1e308, -1e308], [1e308, -1e308], [1e308, 1e308], [0, -5e307], [-1e308, 1e308]]}',
+                "polygon is not convex",
+            ),
         ],
         ids=[
             "three-numbers",
@@ -786,6 +803,7 @@ class TestBadInvocations:
             "string-vertices",
             "boolean-rect",
             "string-rect",
+            "reflex-across-the-float-range",
         ],
     )
     def test_bad_region_file_is_one_error_line(self, tmp_path, text, message):

@@ -48,11 +48,19 @@ class TestConstruction:
 
     @pytest.mark.parametrize(
         "corner, side",
-        [(0.5 + 0.5j, 1e-9), (1000 + 1000j, 1e-7), (0j, 1e-170), (0j, 5e-320)],
+        [
+            (0.5 + 0.5j, 1e-9),
+            (1000 + 1000j, 1e-7),
+            (0j, 1e-170),
+            (0j, 5e-320),
+            (0j, 1e160),
+            (0j, 5e307),
+        ],
     )
     def test_orientation_of_tiny_or_far_square(self, corner, side):
         # At 1e-170 every product of two coordinates underflows to 0; at
-        # 5e-320 the coordinates themselves are subnormal.
+        # 5e-320 the coordinates themselves are subnormal; at 1e160 the
+        # products overflow.
         ccw = tuple(corner + side * d for d in (0, 1, 1 + 1j, 1j))
         assert ConvexRegion(ccw).vertices == ccw
         with pytest.raises(ValueError, match="^vertices must wind counterclockwise$"):
@@ -60,11 +68,15 @@ class TestConstruction:
 
     def test_nonconvex_rejected(self):
         # An arrow with a reflex vertex at 1 + 0.5j, at any scale: at 1e-170
-        # and below its cross products underflow to 0.
-        for scale in (1.0, 1e-170, 1e-300):
+        # and below its cross products underflow to 0, and at 1e160 and
+        # above its convexity tolerance overflows to inf.  Without the
+        # reflex vertex, the square and a triangle are accepted.
+        for scale in (1.0, 1e-170, 1e-300, 1e160, 1e300, 5e307):
             arrow = tuple(scale * v for v in (0j, 2 + 0j, 2 + 2j, 1 + 0.5j, 0 + 2j))
             with pytest.raises(ValueError, match="^polygon is not convex$"):
                 ConvexRegion(arrow)
+            for convex in (arrow[:3] + arrow[4:], arrow[:3]):
+                assert ConvexRegion(convex).vertices == convex
 
     def test_duplicate_consecutive_vertices_rejected(self):
         with pytest.raises(ValueError):

@@ -35,10 +35,10 @@ from windroot import (
     pred_r,
     rdp,
 )
-from windroot.geometry import SIN_PI_8, sector_of
+from windroot.geometry import SIN_PI_8, connected, sector_of
 from windroot.poly import EvalCounter, eval as peval
 from windroot.rdp import RdpStats
-from windroot.winding import SampleArray, _refine
+from windroot.winding import _CONNECTED_STEPS, SampleArray, _refine
 from windroot.oracle import RootList, condition_number, dist_set_curve, winding_brute
 
 from support import (
@@ -125,6 +125,14 @@ class TestPredicates:
             Scf = SampleArray(base, lambda t: (curve(t), peval(cf, curve(t))))
             for i in range(Sf.m):
                 assert pred_q2(Sf, i, f) == pred_q2(Scf, i, cf)
+
+    def test_one_sector_difference_decides_every_pair(self):
+        # ipsr reads a pair's connectivity and crossing from dk = ka - kb.
+        for ka in range(8):
+            for kb in range(8):
+                dk = ka - kb
+                assert (dk in _CONNECTED_STEPS) == connected(ka, kb)
+                assert (dk == 7) - (dk == -7) == net_crossings([ka, kb])
 
     def test_r_inclusive_at_exact_gap(self):
         S = image_array({0.0: 1 + 0j, 0.5: 1 + 0j, 2.5: 1 + 0j})
