@@ -54,10 +54,12 @@ class _Parser(argparse.ArgumentParser):
         raise _ParseError(message)
 
 
+# Whitespace may stand between the tokens of a term (sign, coefficient,
+# "*", "z", "^", exponent), never inside a number or an exponent.
 _TERM_RE = re.compile(
-    r"^([+-])?"
-    r"(?:(\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)(?:\*(?=z))?)?"
-    r"(z(?:\^(\d+))?)?$"
+    r"^([+-])?\s*"
+    r"(?:(\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)\s*(?:\*\s*(?=z))?)?"
+    r"(z(?:\s*\^\s*(\d+))?)?$"
 )
 
 
@@ -96,13 +98,15 @@ def parse_poly_shorthand(text: str) -> Polynomial:
     above it; if every sum is zero, the constant 0 is refused as the zero
     polynomial.  A coefficient written beyond float range is refused
     naming its term, and terms whose sum overflows naming their degree.
-    Any whitespace separates like a space.
+    Any whitespace between tokens reads like a space; whitespace inside a
+    number or an exponent (``z^1 0``, ``1 2z``) is refused naming its term.
     """
-    compact = "".join(text.split())
-    if not compact:
+    text = text.strip()
+    if not text:
         raise _ParseError("empty polynomial expression")
     degrees: dict[int, float] = {}
-    for term in _split_terms(compact):
+    for term in _split_terms(text):
+        term = term.strip()
         m = _TERM_RE.match(term)
         if not m or (m.group(2) is None and m.group(3) is None):
             raise _ParseError(f"cannot parse polynomial term {term!r}")

@@ -2,6 +2,19 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "WindrootError",
+    "AccuracyBelowResolutionError",
+    "SingularPointError",
+    "NonTerminationError",
+    "NoConvergenceError",
+    "SingularSuspectedError",
+    "InitialRegionSingularError",
+    "SubdivisionFailedError",
+    "CountMismatchError",
+    "InternalSolverError",
+]
+
 
 class WindrootError(Exception):
     """Base class for every error raised by this package."""

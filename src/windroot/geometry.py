@@ -354,7 +354,10 @@ class BoundaryCurve:
         a = pts[0]
         for b in pts[1:]:
             d = b - a
-            length = abs(d)
+            try:
+                length = abs(d)
+            except OverflowError:  # |d| beyond float range from finite parts
+                length = math.inf
             edges.append((c, a, length, d))
             c += length
             cum.append(c)

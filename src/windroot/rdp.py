@@ -50,6 +50,7 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+_HALF_RANGE = math.ldexp(1.0, 1023)
 
 
 class RootBox(Frozen):
@@ -68,7 +69,9 @@ class RdpStats:
     """Instrumentation of one run.
 
     ``pe`` is the metered number of distinct polynomial evaluations,
-    ``budget`` the closed-form bound it is certified to stay below.
+    ``budget`` the closed-form ``pe_budget``, which the tests check on
+    regions a few units wide at accuracy 1e-3; it is not a bound at every
+    scale (see ``pe_budget``).
     ``visited`` lists every (level, region) the recursion examined, in
     level order: the initial region, then each part ``divide`` returns,
     including a part that counts no roots and so is not divided again; a
@@ -111,6 +114,11 @@ def pe_budget(n0: int, n: int, accuracy: float, dr_p: float) -> float:
     30*n0*n/accuracy + 21*n0*n*(lg2(dr_p/accuracy) + 2), where dr_p is
     the rectangular diameter of the initial region.  Monotone decreasing
     in the accuracy.
+
+    Not a bound at every scale: scaling the region, the roots and the
+    accuracy together leaves ``pe`` about where it is, while the first
+    term scales with 1/accuracy.  z - (5+125i) on [0, 10] x [100, 150]
+    at accuracy 1 takes ``pe`` 242 against a budget of 191.1.
     """
     return 30.0 * n0 * n / accuracy + 21.0 * n0 * n * (
         math.log2(dr_p / accuracy) + 2.0
@@ -206,11 +214,21 @@ def _check_resolution(curve: BoundaryCurve, q: float) -> None:
     gap guard fires before bisection reaches float resolution.  A q
     below 4u raises AccuracyBelowResolutionError.  A perimeter that
     overflows makes u infinite, which no accuracy or edge can meet, so it
-    is refused first, as a plain ValueError.
+    is refused first, as a plain ValueError.  So is a region whose
+    largest coordinate modulus c or perimeter reaches 2**1023: the
+    solver adds two coordinates (a cut's midline) and two boundary
+    parameters (a bisection midpoint), and below 2**1023 each such sum
+    stays finite.
     """
     if not curve.perimeter < math.inf:
         raise ValueError("the region's perimeter overflows double precision; shrink the region")
     c = max(max(abs(v.real), abs(v.imag)) for v in curve.points)
+    if c >= _HALF_RANGE or curve.perimeter >= _HALF_RANGE:
+        raise ValueError(
+            "the region's largest coordinate or perimeter reaches 2**1023, where a "
+            f"sum of two overflows double precision (largest coordinate {c!r}, "
+            f"perimeter {curve.perimeter!r}); shrink the region or move it nearer the origin"
+        )
     u = max(math.ulp(curve.perimeter), math.ulp(c))
     ts = curve.vertex_params
     span = min(b - a for a, b in zip(ts, ts[1:]))

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import types
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -45,6 +46,10 @@ def run_cli(argv):
 CUBE_ARGS = ["--poly", "z^3+1", "--rect", "-2", "-2", "2", "2", "--accuracy", "1e-3"]
 VALUES_OVERFLOW = "polynomial values overflow double precision on the region "
 PERIMETER_OVERFLOW = "the region's perimeter overflows double precision; shrink the region\n"
+HALF_RANGE = (
+    "the region's largest coordinate or perimeter reaches 2**1023, "
+    "where a sum of two overflows double precision ("
+)
 
 
 class TestShorthand:
@@ -126,6 +131,22 @@ class TestShorthand:
         path.write_text(text, encoding="utf-8", newline="")
         argv = CUBE_ARGS[2:]
         assert run_cli(["--poly-file", str(path)] + argv)[:2] == run_cli(CUBE_ARGS)[:2]
+
+    @pytest.mark.parametrize("text", [" -z^3 + 1", "2 z", "2 * z^2", "z ^ 3", "- 2 z ^ 2"])
+    def test_whitespace_between_tokens_reads_like_a_space(self, text):
+        assert parse_poly_shorthand(text) == parse_poly_shorthand("".join(text.split()))
+
+    @pytest.mark.parametrize(
+        "text, term",
+        [("z^1 0+1", "z^1 0"), ("1 2z", "1 2z"), ("2 . 5z", "2 . 5z"), ("1e 5z", "1e 5z")],
+    )
+    def test_whitespace_inside_a_number_is_refused(self, text, term):
+        # These used to read as z^10+1, 12z, 2.5z and 1e5*z.
+        code, out, err = run_cli(
+            ["--poly", text, "--rect", "-2", "-2", "2", "2", "--accuracy", "1e-1"]
+        )
+        assert code == 1 and out == ""
+        assert err == f"windroot: error: cannot parse polynomial term {term!r}\n"
 
     def test_leading_zeros_in_the_exponent(self):
         assert parse_poly_shorthand("z^0003+1").coeffs == (1 + 0j, 0j, 0j, 1 + 0j)
@@ -300,6 +321,38 @@ class TestRuns:
         assert done.returncode == 0
         assert svg.stat().st_size > 0
 
+    def test_package_reexports_each_module_list(self):
+        # Each public name is declared once, in its module's __all__; the
+        # package takes its names and its __all__ from those lists.
+        modules = [
+            importlib.import_module(f"windroot.{name}")
+            for name in ("errors", "geometry", "poly", "rdp", "winding")
+        ]
+        assert windroot.__all__ == ["__version__"] + [n for m in modules for n in m.__all__]
+        assert len(set(windroot.__all__)) == len(windroot.__all__) == 48
+        errors = modules[0]
+        assert errors.__all__ == [
+            name for name, value in vars(errors).items()
+            if isinstance(value, type) and issubclass(value, Exception)
+        ]
+        # The star import of the rdp module binds the solver over the submodule.
+        assert windroot.rdp is modules[3].rdp
+        # Besides submodules, the package binds only the names it exports.
+        public = {
+            n for n, v in vars(windroot).items()
+            if not n.startswith("_") and not isinstance(v, types.ModuleType)
+        }
+        assert public == set(windroot.__all__) - {"__version__"}
+        code = (
+            "from windroot import *\n"
+            "import windroot\n"
+            "missing = [n for n in windroot.__all__ if n not in globals()]\n"
+            "assert not missing, missing\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(windroot.__file__)))
+        done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0
+
     def test_count_mismatch_exits_four_naming_level_and_envelope(self, monkeypatch):
         # A real case is z^46-1 on [-2.1, 2.07] x [-2.13, 2.11] at 1e-3,
         # where a boundary test miscounts a cut part (a solver defect
@@ -419,6 +472,22 @@ class TestRuns:
             # 4 ulp, inf) and "lengthen the edge" (resolution inf) could not help.
             ("z", ["-1e308", "-1e308", "1e308", "1e308"], "1e308", PERIMETER_OVERFLOW),
             ("z", ["0", "0", "1.7e308", "1.7e308"], "1e308", PERIMETER_OVERFLOW),
+            # A cut's midline adds two coordinates: (y0 + y1) / 2 was inf,
+            # no horizontal cut shrank a part, and the run exited 3.
+            (
+                '{"coeffs": [[-5e296, -1.55e298], [1e-10, 0]]}',
+                ["0", "1.5e308", "1e307", "1.6e308"],
+                "1e306",
+                HALF_RANGE,
+            ),
+            # A bisection midpoint adds two boundary parameters: 0.5 * (ta + tb)
+            # overflowed on a finite perimeter of 1.68e308, and the run exited 4.
+            (
+                '{"coeffs": [[-1e297, -2e296], [1e-10, 0]]}',
+                ["-4e307", "0", "4e307", "4e306"],
+                "1e306",
+                HALF_RANGE,
+            ),
         ],
         ids=[
             "derivative-values",
@@ -426,6 +495,8 @@ class TestRuns:
             "values",
             "perimeter-across-the-origin",
             "perimeter",
+            "coordinate-sum",
+            "parameter-sum",
         ],
     )
     def test_values_overflowing_double_precision_refused_up_front(
@@ -439,6 +510,22 @@ class TestRuns:
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith(f"windroot: {message}")
+
+    def test_edge_length_overflowing_double_precision_refused_up_front(
+        self, monkeypatch, tmp_path
+    ):
+        # The curve's abs() of the edge from 0 to 1.5e308(1+i) used to raise
+        # OverflowError, a traceback through the CLI.
+        def never(*args):
+            pytest.fail("a boundary test ran")
+
+        monkeypatch.setattr(importlib.import_module("windroot.rdp"), "ipsr", never)
+        path = tmp_path / "region.json"
+        path.write_text('{"vertices": [[0, 0], [1.5e308, 1.5e308], [0, 1.5e308]]}')
+        code, out, err = run_cli(
+            ["--poly", "z-1e307", "--region-file", str(path), "--accuracy", "1e306"]
+        )
+        assert (code, out, err) == (1, "", f"windroot: {PERIMETER_OVERFLOW}")
 
     def test_large_coefficients_within_double_range_run(self):
         # 4 * 100 * (1e305 + 1) is still finite on a region inside |z| < 1.

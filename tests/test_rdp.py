@@ -405,6 +405,18 @@ class TestRdp:
             _, stats = rdp(region, f, 1e-3)
             assert stats.pe <= stats.budget
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 4: the budget's first term 30*n0*n/A scales with "
+        "1/A, while pe stays near 250 when the region, root and accuracy scale together",
+    )
+    def test_evaluations_within_budget_at_unit_accuracy_away_from_the_origin(self):
+        # pe 242 against a budget of 191.1; scaled by s, pe stays between
+        # 235 and 263 from s = 1e-2 to 1e300, while the budget falls from
+        # 3161 at s = 1e-2 to 161 from s = 100 on.
+        _, stats = rdp(rect(0, 100, 10, 150), Polynomial((-5 - 125j, 1)), 1.0)
+        assert stats.pe <= stats.budget
+
     def test_pe_counts_the_distinct_points_evaluated(self, monkeypatch):
         # pe is the number of distinct points evaluated through the run's
         # counter, however often a point is evaluated.  A point that left
