@@ -2,9 +2,10 @@
 
 The evaluation counter is the cost meter of the whole package: every
 root-finding bound downstream is expressed in "polynomial evaluations",
-so a metered ``eval`` records its point and the counter counts each
-distinct point once.  No value is cached here; the boundary test's
-sample window (see ``EvalCounter``) serves repeated points.
+so a metered ``eval`` adds one to the counter's count and keeps nothing
+else.  No value is cached here; the boundary test's sample window (see
+``EvalCounter``) serves repeated points, and a point it does not serve
+is evaluated, and counted, again.
 """
 
 from __future__ import annotations
@@ -58,11 +59,13 @@ class Polynomial(Frozen):
 class EvalCounter:
     """Evaluation meter and boundary-sample window of one run.
 
-    ``points`` maps every point a metered ``eval`` was given to ``None``,
-    in order of first evaluation, and ``evaluations`` counts them: a
-    point evaluated again adds nothing.  One counter serves one run: it
-    must not be shared between different polynomials (the window is
-    keyed by the point alone) and is not safe for concurrent use.
+    ``evaluations`` is the number of metered ``eval`` calls, read-only
+    to callers: every call counts, a point evaluated again included.  The
+    counter keeps no points, so its memory does not grow with the count.
+    One counter serves one run of one polynomial and is not safe for
+    concurrent use: the window is keyed by the point alone, so
+    ``winding.ipsr`` refuses a polynomial other than the one the counter
+    serves.
 
     ``samples`` and ``previous_samples`` hold the boundary samples of
     ``winding.ipsr`` over a window of two subdivision levels, the current
@@ -70,11 +73,12 @@ class EvalCounter:
     ``(f(z), sector, |f(z)|, |f'(z)|)``; ``ipsr`` states how it reads
     and fills them.  ``rdp`` calls ``next_level`` after each level, which
     ages the window and drops the older level.  The window is the run's
-    only memo of values: a point that left it is evaluated again, to the
-    same bits, and is not counted again (about 2% of the window misses on
-    the benchmark workloads).  ``derivative`` holds f', built by the
-    first ``ipsr`` call of the run, so that no later boundary test builds
-    it again or finds it by hashing the coefficients.
+    only memo: a point that left it is evaluated again, to the same bits,
+    and counted again (about 2% of the window misses on the benchmark
+    workloads).  ``polynomial`` is the f whose f' ``derivative`` holds,
+    both set by the first ``ipsr`` call of the run, so that no later
+    boundary test builds f' again or finds it by hashing the
+    coefficients.
 
     The window is not run-wide because nearly every repeated point
     recurs in its own level or the next (a cut part shares its boundary
@@ -84,17 +88,18 @@ class EvalCounter:
     the window's 60%, but raised peak RSS by 14% against 3.5%.
     """
 
-    __slots__ = ("points", "samples", "previous_samples", "derivative")
+    __slots__ = ("_evaluations", "samples", "previous_samples", "polynomial", "derivative")
 
     def __init__(self):
-        self.points = {}
+        self._evaluations = 0
         self.samples = {}
         self.previous_samples = {}
+        self.polynomial = None
         self.derivative = None
 
     @property
     def evaluations(self) -> int:
-        return len(self.points)
+        return self._evaluations
 
     def next_level(self) -> None:
         """Age the sample window: the current level becomes the previous one."""
@@ -123,16 +128,15 @@ def _horner_floor(abs_coeffs: tuple[float, ...], r: float) -> float:
 
 
 def eval(f: Polynomial, z: complex, ctr: EvalCounter | None = None) -> complex:
-    """Return f(z) by the Horner recurrence, recording ``z`` in ``ctr.points``.
+    """Return f(z) by the Horner recurrence, adding one to ``ctr``'s count.
 
     With ``ctr=None`` the evaluation is not metered.  Results are
     bit-identical for identical ``z`` across calls, so a point evaluated
     again gives the value it gave the first time.
     """
-    z = complex(z)
     if ctr is not None:
-        ctr.points[z] = None
-    return _horner(f.coeffs, z)
+        ctr._evaluations += 1
+    return _horner(f.coeffs, complex(z))
 
 
 def derivative(f: Polynomial) -> Polynomial:

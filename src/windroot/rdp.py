@@ -9,10 +9,10 @@ degenerates is ``None`` from ``cut`` and is dropped there.  Only parts
 that count roots are divided again.  Cut lines are shifted away from
 the midline in fixed trial steps whenever a root sits close enough to
 make the boundary winding test fail, so every accepted piece has a
-certified count.  One counter meters the run's distinct polynomial
-evaluations, which the closed-form evaluation budgets refer to, and
-holds its only memo, a two-level window of boundary samples that ``rdp``
-ages after each level (see ``EvalCounter``).
+certified count.  One counter meters the run's polynomial evaluations,
+which the closed-form evaluation budgets refer to, and holds its only
+memo, a two-level window of boundary samples that ``rdp`` ages after
+each level (see ``EvalCounter``): each window miss is one evaluation.
 """
 
 from __future__ import annotations
@@ -68,10 +68,11 @@ class RootBox(Frozen):
 class RdpStats:
     """Instrumentation of one run.
 
-    ``pe`` is the metered number of distinct polynomial evaluations,
-    ``budget`` the closed-form ``pe_budget``, which the tests check on
-    regions a few units wide at accuracy 1e-3; it is not a bound at every
-    scale (see ``pe_budget``).
+    ``pe`` is the number of metered polynomial evaluations (one per
+    sample-window miss, a point evaluated again included), ``budget``
+    the closed-form ``pe_budget``, which the tests check on regions a few
+    units wide at accuracy 1e-3; it is not a bound at every scale (see
+    ``pe_budget``).
     ``visited`` lists every (level, region) the recursion examined, in
     level order: the initial region, then each part ``divide`` returns,
     including a part that counts no roots and so is not divided again; a
@@ -118,7 +119,7 @@ def pe_budget(n0: int, n: int, accuracy: float, dr_p: float) -> float:
     Not a bound at every scale: scaling the region, the roots and the
     accuracy together leaves ``pe`` about where it is, while the first
     term scales with 1/accuracy.  z - (5+125i) on [0, 10] x [100, 150]
-    at accuracy 1 takes ``pe`` 242 against a budget of 191.1.
+    at accuracy 1 takes ``pe`` 245 against a budget of 191.1.
     """
     return 30.0 * n0 * n / accuracy + 21.0 * n0 * n * (
         math.log2(dr_p / accuracy) + 2.0

@@ -329,7 +329,10 @@ def ipsr(
     not increase strictly or that passes a vertex parameter, so nothing is
     looked up or evaluated for an ``s0`` it refuses.  The second reads or
     makes each initial sample's record.  The third is the refinement.
-    f' is built once per run and kept on ``ctr`` (``EvalCounter.derivative``).
+    f' is built once per run and kept on ``ctr`` with f
+    (``EvalCounter.derivative`` and ``polynomial``); ValueError refuses,
+    before any evaluation, an f that is neither that object nor equal to
+    it, as the window holds that polynomial's records.
 
     Each initial pair is refined to completion, left half before right
     half, before the next one starts.  That is the order in which the
@@ -355,13 +358,16 @@ def ipsr(
     per lookup: ``samples.get(p)`` (the current level); on a miss
     ``previous_samples.pop(p, None)``, whose record moves up into
     ``samples``; on a second miss the record is made, once, from f
-    (metered through ``ctr``) and f' (not metered), both by the
-    module-global ``eval``, and stored in ``samples``.  f' on every miss
-    costs few extra evaluations, as nearly every sample is at some point
-    a left sample whose |f'| the width test reads: at seed 4712, +0.04%
-    on the deep-low benchmark, +0.34% on clustered.  An exact zero image
-    gets no record, and ``ipsr`` exits with SingularError at the first
-    such parameter, for the initial samples after every one is read.
+    (metered through ``ctr``: each miss adds one to its count) and f'
+    (not metered), both by the module-global ``eval``, and stored in
+    ``samples``.  So a run's ``pe`` is its number of window misses, a
+    point that left the window and is evaluated again included.  f' on
+    every miss costs few extra evaluations, as nearly every sample is at
+    some point a left sample whose |f'| the width test reads: at seed
+    4712, +0.04% on the deep-low benchmark, +0.34% on clustered.  An
+    exact zero image gets no record, and ``ipsr`` exits with
+    SingularError at the first such parameter, for the initial samples
+    after every one is read.
     """
     if not 0.0 < Q < math.inf:
         raise ValueError("Q must be positive and finite")
@@ -401,6 +407,9 @@ def ipsr(
     df = ctr.derivative
     if df is None:
         df = ctr.derivative = derivative(f)
+        ctr.polynomial = f
+    elif f is not ctr.polynomial and f != ctr.polynomial:
+        raise ValueError("the counter serves another polynomial")
     # The name lookups stay global, once per call, so that wrappers
     # installed on this module's ``eval`` and ``sector_of`` see every call.
     feval, sector = eval, sector_of

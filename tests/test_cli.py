@@ -221,7 +221,7 @@ class TestRuns:
         strip = lambda s: re.sub(r'"seconds": [^}]+', '"seconds": X', s)
         assert strip(first) == strip(second)
         stats = json.loads(first)["stats"]
-        assert stats["pe"] == 1464
+        assert stats["pe"] == 1522
         assert stats["max_level"] == 13
         assert stats["boxes"] == 3
         assert stats["pe"] <= stats["budget"]

@@ -105,12 +105,12 @@ class TestImmutableValues:
 class TestMutableRecords:
     def test_each_eval_counter_gets_its_own_containers(self):
         a, b = EvalCounter(), EvalCounter()
-        for name in ("points", "samples", "previous_samples"):
+        for name in ("samples", "previous_samples"):
             assert getattr(a, name) == {}
             assert getattr(a, name) is not getattr(b, name)
-        assert a.derivative is None
-        a.points[1j] = None
-        assert b.points == {}
+        assert a.polynomial is None and a.derivative is None
+        a.samples[1j] = (1j, 2, 1.0, 3.0)
+        assert b.samples == {}
 
     def test_eval_counter_keywords(self):
         # A counter takes no arguments; a test that needs an instrumented
@@ -120,6 +120,7 @@ class TestMutableRecords:
             ((), {"cache": {}}),
             ((), {"samples": {}}),
             ((), {"previous_samples": {}}),
+            ((), {"polynomial": Polynomial((1, 1))}),
             ((), {"derivative": Polynomial((1,))}),
         ):
             with pytest.raises(TypeError):
@@ -128,7 +129,7 @@ class TestMutableRecords:
         window = {1j: (1j, 2, 1.0, 3.0)}
         ctr.samples = window
         assert ctr.samples is window
-        assert ctr.points == {} and ctr.previous_samples == {}
+        assert ctr.evaluations == 0 and ctr.previous_samples == {}
 
     def test_each_rdp_stats_gets_its_own_lists(self):
         a, b = RdpStats(), RdpStats()

@@ -301,6 +301,28 @@ class TestIpsr:
             assert not pred_q2(S, i, f)
         TestIpsrMatchesScan().assert_same(curve, f, 1e-3)
 
+    def test_counter_refuses_another_polynomial(self):
+        # The window is keyed by the point alone: z - 9 on a counter reused
+        # from z^3 + 1 would read the cube's records and count 3 roots inside.
+        curve = boundary(ConvexRegion.from_json({"rect": [-2, -2, 2, 2]}))
+        ctr = EvalCounter()
+        cube, line = Polynomial((1, 0, 0, 1)), Polynomial((-9, 1))
+        assert ipsr(curve, cube, initial_samples(curve), 1e-3, ctr) == Normal(3, 40)
+        before = (ctr.evaluations, dict(ctr.samples), ctr.polynomial, ctr.derivative)
+        with pytest.raises(ValueError, match="^the counter serves another polynomial$"):
+            ipsr(curve, line, initial_samples(curve), 1e-3, ctr)
+        assert (ctr.evaluations, ctr.samples, ctr.polynomial, ctr.derivative) == before
+        assert ipsr(curve, line, initial_samples(curve), 1e-3, EvalCounter()) == Normal(0, 0)
+
+    def test_counter_serves_an_equal_polynomial_built_anew(self):
+        curve = boundary(rect(-2, -2, 2, 2))
+        ctr = EvalCounter()
+        first = ipsr(curve, Polynomial((1, 0, 0, 1)), initial_samples(curve), 1e-3, ctr)
+        metered = ctr.evaluations
+        again = ipsr(curve, Polynomial((1, 0, 0, 1)), initial_samples(curve), 1e-3, ctr)
+        assert again == first
+        assert ctr.evaluations == metered  # the window serves every point
+
     def test_memoized_evaluations_one_per_distinct_point(self):
         out, curve, ctr = self.run(Polynomial((1, 0, 0, 1)), rect(-2, -2, 2, 2))
         # The closure revisits the start point; every other sample is new.
@@ -345,7 +367,7 @@ class TestIpsr:
         ctr.next_level()
         assert rerun() == first
         assert (len(f_evals), len(df_evals), len(sectors)) == cold
-        assert ctr.evaluations == cold[0]  # every point was already metered
+        assert ctr.evaluations == 2 * cold[0]  # every point is metered again
 
     def test_window_records_are_made_once_and_whole(self, monkeypatch):
         # Every record that a run's window held, in any level, is the
@@ -499,21 +521,57 @@ def warmed_counter(f, Q, warm=None):
     return ctr
 
 
+def outcome(procedure, curve, f, s0, Q, ctr):
+    try:
+        return procedure(curve, f, s0, Q, ctr)
+    except NonTerminationError as exc:
+        return ("NonTerminationError", str(exc))
+
+
 def outcome_and_meter(procedure, curve, f, Q, warm=None):
     ctr = warmed_counter(f, Q, warm)
-    try:
-        out = procedure(curve, f, initial_samples(curve), Q, ctr)
-    except NonTerminationError as exc:
-        out = ("NonTerminationError", str(exc))
-    return out, ctr
+    return outcome(procedure, curve, f, initial_samples(curve), Q, ctr), ctr
+
+
+def window_misses(f, points, held):
+    """The points of ``points`` that the sample window does not serve, in order.
+
+    ``held`` holds the points whose records the window has at the start;
+    a point evaluated gets its record, unless its image is exactly zero.
+    """
+    held = set(held)
+    misses = []
+    for p in points:
+        if p not in held:
+            misses.append(p)
+            if peval(f, p) != 0:
+                held.add(p)
+    return misses
 
 
 class TestIpsrMatchesScan:
     """The depth-first loop of ``ipsr`` against the reference scan."""
 
     def assert_same(self, curve, f, Q, warm=None):
-        got, got_ctr = outcome_and_meter(ipsr, curve, f, Q, warm)
-        want, want_ctr = outcome_and_meter(ipsr_scan, curve, f, Q, warm)
+        ctr = warmed_counter(f, Q, warm)
+        held = set(ctr.samples) | set(ctr.previous_samples)
+        before = ctr.evaluations
+        s0 = initial_samples(curve)
+        metered = []
+
+        def recording_eval(g, z, c=None):
+            if c is not None:
+                metered.append(z)
+            return peval(g, z, c)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(importlib.import_module("windroot.winding"), "eval", recording_eval)
+            got = outcome(ipsr, curve, f, s0, Q, ctr)
+        scanned = []
+        scan_ctr = EvalCounter()
+        want = outcome(
+            ipsr_scan, lambda t: scanned.append(curve(t)) or scanned[-1], f, s0, Q, scan_ctr
+        )
         assert type(got) is type(want)
         if isinstance(want, Normal):
             assert got.index == want.index
@@ -522,8 +580,11 @@ class TestIpsrMatchesScan:
             assert got == want  # t, guarantee and insertions
         else:
             assert got == want  # the same NonTerminationError message
-        assert got_ctr.evaluations == want_ctr.evaluations
-        assert list(got_ctr.points) == list(want_ctr.points)
+        # The scan evaluates every point it samples; ipsr evaluates, and
+        # meters, those of them that its window does not serve, in order.
+        assert scan_ctr.evaluations == len(scanned)
+        assert ctr.evaluations - before == len(metered)
+        assert float_bits(metered) == float_bits(window_misses(f, scanned, held))
         return want
 
     def test_seeded_instances_agree(self):
@@ -610,13 +671,14 @@ class TestIpsrMatchesScan:
         # An exactly zero image at an initial sample.
         self.assert_same(boundary(rect(0, 0, 1, 1)), Polynomial((-0.5, 1)), 1e-3)
         # Several: z(z - 1) vanishes at the initial samples t = 0, 1 and 4.
-        # Every initial sample is metered (8 points, as t = 4 is t = 0),
-        # the first zero in s0 order is reported, and a zero gets no record.
+        # Every initial sample is metered (9, t = 4 again after t = 0, as a
+        # zero gets no record), the first zero in s0 order is reported, and
+        # only the 6 nonzero points get records.
         f = Polynomial((0, -1, 1))
         out = self.assert_same(boundary(rect(0, 0, 1, 1)), f, 1e-3)
         assert out == SingularError(0.0, math.sqrt(2.0) / 4e-3, 0)
         _, ctr = outcome_and_meter(ipsr, boundary(rect(0, 0, 1, 1)), f, 1e-3)
-        assert (ctr.evaluations, len(ctr.samples)) == (8, 6)
+        assert (ctr.evaluations, len(ctr.samples)) == (9, 6)
         # A guard width below the float spacing of the parameter.
         f = Polynomial((-1,) + (0,) * 59 + (1,))
         region = rect(1, -2.1, 3, 2.3)
@@ -849,11 +911,11 @@ class TestSamplesFromEdges:
         assert ctr.samples == {} and ctr.previous_samples == {}
         # A counter aged after a test on an overlapping curve keeps its window.
         ctr = warmed_counter(f, 1e-3, (boundary(rect(0, 0, 1, 2)), True))
-        before = (dict(ctr.points), dict(ctr.samples), dict(ctr.previous_samples))
+        before = (ctr.evaluations, dict(ctr.samples), dict(ctr.previous_samples))
         assert before[2]
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ipsr(curve, f, bad, 1e-3, ctr)
-        assert (ctr.points, ctr.samples, ctr.previous_samples) == before
+        assert (ctr.evaluations, ctr.samples, ctr.previous_samples) == before
 
     def test_initial_samples_returns_a_fresh_list_and_writes_nothing(self):
         rng = random.Random(7414)
