@@ -6,7 +6,8 @@ their axis-aligned diameters, cuts them with horizontal/vertical lines
 offset from the midline between supporting lines (a part that
 degenerates is ``None``), parameterizes their border by arc length, and
 classifies nonzero complex values into the eight half-open sectors of
-angle pi/4 used by the winding-number tests.
+angle pi/4 used by the winding-number tests; one table, ``_CONNECTED_STEPS``,
+says which sector pairs are connected and which cross between 7 and 0.
 
 A cut part reaches its boundary test in one pass per step: ``cut`` reads
 the parent's ``envelope`` once, for the cut level and the merge
@@ -50,6 +51,11 @@ __all__ = [
 # angle has length at least 2*sin(pi/8) times the nearer endpoint's
 # modulus; every singularity guarantee downstream rests on this constant.
 SIN_PI_8 = math.sin(math.pi / 8.0)
+
+# The differences ka - kb of sectors in 0..7 that are equal or adjacent
+# modulo 8, each mapped to its crossing: +1 for 7->0, -1 for 0->7.
+# ``connected``, ``net_crossings`` and ``winding.ipsr`` all read it.
+_CONNECTED_STEPS = {-7: -1, -1: 0, 0: 0, 1: 0, 7: 1}
 
 # Cross products at vertices inserted by cut() carry double-precision
 # rounding noise; convexity validation tolerates this much, relative to
@@ -394,48 +400,36 @@ def boundary(region: ConvexRegion) -> BoundaryCurve:
 def sector_of(w: complex) -> int:
     """Index k in 0..7 with arg(w) in [k*pi/4, (k+1)*pi/4), arg taken in [0, 2*pi).
 
-    Decided by sign tests and exact coordinate comparisons only, so
-    boundary rays classify deterministically with no trigonometry.
-    Raises SingularPointError for w = 0.
+    Raises SingularPointError for w = 0, ValueError for a non-finite w.
+    Then three exact steps decide, with no trigonometry: w = x + iy with
+    y < 0, or y = 0 > x, is negated (k = 4); one with x <= 0 is turned to
+    (y, -x) (k += 2); the result is k + 1 if y >= x, else k.  Negation is
+    exact, so boundary rays, signed zeros and subnormals keep their sector.
     """
     x, y = w.real, w.imag
     if x == 0.0 and y == 0.0:
         raise SingularPointError()
     if not cmath.isfinite(w):
         raise ValueError(f"cannot classify non-finite value {w!r}")
-    if x > 0.0 and 0.0 <= y < x:
-        return 0
-    if x > 0.0 and y >= x:
-        return 1
-    if x <= 0.0 and y > -x:
-        return 2
-    if y > 0.0 and y <= -x:
-        return 3
-    if x < 0.0 and x < y <= 0.0:
-        return 4
-    if x < 0.0 and y <= x:
-        return 5
-    if y < 0.0 and 0.0 <= x < -y:
-        return 6
-    return 7  # remaining case: y < 0 and x >= -y
+    k = 0
+    if y < 0.0 or y == 0.0 and x < 0.0:
+        x, y, k = -x, -y, 4
+    if x <= 0.0:
+        x, y, k = y, -x, k + 2
+    return k + 1 if y >= x else k
 
 
 def connected(ka: int, kb: int) -> bool:
-    """True iff sectors ka, kb are equal or adjacent modulo 8."""
-    return (ka - kb) % 8 in (0, 1, 7)
+    """True iff sectors ka, kb in 0..7 are equal or adjacent modulo 8."""
+    return ka - kb in _CONNECTED_STEPS
 
 
 def net_crossings(sectors) -> int:
     """Signed crossing count over consecutive pairs of a closed sector sequence.
 
-    A step from sector 7 to sector 0 counts +1, from 0 to 7 counts -1;
-    all other (connected) steps count 0.  The sequence must already close
+    Sectors must lie in 0..7.  A step from sector 7 to sector 0 (a
+    difference of 7 in ``_CONNECTED_STEPS``) counts +1, from 0 to 7 (-7)
+    counts -1; all other steps count 0.  The sequence must already close
     on itself (first element equals last).
     """
-    total = 0
-    for a, b in zip(sectors, sectors[1:]):
-        if a == 7 and b == 0:
-            total += 1
-        elif a == 0 and b == 7:
-            total -= 1
-    return total
+    return sum(_CONNECTED_STEPS.get(a - b, 0) for a, b in zip(sectors, sectors[1:]))

@@ -22,7 +22,8 @@ edge (see ``BoundaryCurve``), and reads each sample's image, sector,
 modulus and |f'| from the counter's two-level sample window inline,
 with no call per lookup (see ``ipsr``), which makes a point's record
 once, when the point is evaluated.  It tests each pair with one sector
-difference, which decides both connectivity and the pair's crossing.
+difference, whose entry in ``geometry._CONNECTED_STEPS`` decides both
+connectivity and the pair's crossing.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import operator
 
 from ._frozen import Frozen
 from .errors import NonTerminationError, SingularPointError
-from .geometry import SIN_PI_8, BoundaryCurve, connected, net_crossings, sector_of
+from .geometry import _CONNECTED_STEPS, SIN_PI_8, BoundaryCurve, connected, net_crossings, sector_of
 from .poly import EvalCounter, Polynomial, derivative, eval
 
 __all__ = [
@@ -49,11 +50,6 @@ __all__ = [
     "ipsr",
     "initial_samples",
 ]
-
-# The differences ka - kb of two sectors in 0..7 that ``connected`` accepts:
-# equal, or adjacent modulo 8, where 7 is a 7->0 step and -7 a 0->7 step.
-_CONNECTED_STEPS = frozenset((-7, -1, 0, 1, 7))
-
 
 def _checked_params(params) -> list[float]:
     """``params`` as floats; refused unless they start at 0 and strictly increase."""
@@ -219,8 +215,11 @@ def ip(delta, L: float, s0: list[float], max_iter: int) -> SampleArray:
     sector sequence yields the winding number via ``net_crossings``.  On curves
     passing near the origin the fixpoint may not exist; after
     ``max_iter`` insertions NonTerminationError is raised.  An exactly
-    zero image raises SingularPointError carrying the parameter.
+    zero image raises SingularPointError carrying the parameter.  An L
+    outside (0, inf) raises ValueError before any sample.
     """
+    if not 0.0 < L < math.inf:
+        raise ValueError("L must be positive and finite")
     S = SampleArray(s0, _curve_sampler(delta))
     for j, w in enumerate(S.images):
         if w == 0:
@@ -281,10 +280,13 @@ def ips(delta, L: float, s0: list[float], Q: float) -> WindingOutcome:
     Refines like ``ip`` but exits with SingularError as soon as a pair
     still failing p or q has been bisected down to gap <= Q.  On error
     the returned parameter t satisfies |delta(t)| <= L*Q/sin(pi/8); on
-    Normal the index is the exact winding number of ``delta``.
+    Normal the index is the exact winding number of ``delta``.  A Q or
+    an L outside (0, inf) raises ValueError before any sample.
     """
     if not 0.0 < Q < math.inf:
         raise ValueError("Q must be positive and finite")
+    if not 0.0 < L < math.inf:
+        raise ValueError("L must be positive and finite")
     S = SampleArray(s0, _curve_sampler(delta))
     guarantee = L * Q / SIN_PI_8
     for j, w in enumerate(S.images):
@@ -345,12 +347,13 @@ def ipsr(
     The loop keeps one left sample and a stack of right endpoints and
     keeps no final samples: callers read only the count and the
     insertions.  It tests a pair (a, b) with one sector difference
-    dk = ka - kb: the pair is clean iff dk is in ``_CONNECTED_STEPS``
-    ({-7, -1, 0, 1, 7}, the differences ``connected`` accepts) and
-    ``not |wa| + |wb| <= 2 |f'(a)| (tb - ta) + |wb - wa|`` (``pred_q2``
-    fails; a NaN width test stays clean), and a clean pair adds its
-    crossing to the index as it goes: +1 at dk = 7 (7->0), -1 at dk = -7
-    (0->7), as ``net_crossings`` counts.
+    dk = ka - kb: the pair is clean iff dk is a step of
+    ``geometry._CONNECTED_STEPS`` (-7, -1, 0, 1 or 7, the differences
+    ``connected`` accepts) and ``not |wa| + |wb| <= 2 |f'(a)| (tb - ta) +
+    |wb - wa|`` (``pred_q2`` fails; a NaN width test stays clean), and a
+    clean pair adds its crossing to the index as it goes: +1 at dk = 7
+    (7->0), -1 at dk = -7 (0->7), the table's crossings, which
+    ``net_crossings`` counts.
 
     Each sample's record, the tuple (image, sector, |image|, |f'|), comes
     from the counter's two-level sample window, read inline at each of

@@ -160,6 +160,27 @@ def reference_initial_samples(cum: tuple[float, ...]) -> list[float]:
     return params
 
 
+def reference_sector_of(w: complex) -> int:
+    """Sector index of a finite nonzero ``w`` by eight half-open range tests,
+    one per sector [k*pi/4, (k+1)*pi/4), each written out on its own."""
+    x, y = w.real, w.imag
+    if x > 0.0 and 0.0 <= y < x:
+        return 0
+    if x > 0.0 and y >= x:
+        return 1
+    if x <= 0.0 and y > -x:
+        return 2
+    if y > 0.0 and y <= -x:
+        return 3
+    if x < 0.0 and x < y <= 0.0:
+        return 4
+    if x < 0.0 and y <= x:
+        return 5
+    if y < 0.0 and 0.0 <= x < -y:
+        return 6
+    return 7  # remaining case: y < 0 and x >= -y
+
+
 def float_bits(value):
     """``value`` with every float and complex part as its exact hex string,
     through tuples and lists: -0.0 differs from 0.0, NaN compares equal."""

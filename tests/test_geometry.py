@@ -1,8 +1,10 @@
 """Convex regions, diameters, shifted cuts, boundary curves, and sectors."""
 
 import cmath
+import itertools
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -22,9 +24,32 @@ from windroot import (
     sector_of,
 )
 
-from support import le_rel, random_convex_polygon, rect
+from support import le_rel, random_convex_polygon, rect, reference_sector_of
 
 UNIT_SQUARE = rect(0, 0, 1, 1)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+# Coordinates where a sector test can go wrong: signed zeros, the
+# smallest and largest subnormals, the smallest normal, one, and the
+# largest float, each with both signs.
+_EDGE_COORDS = [
+    s * v
+    for v in (0.0, 5e-324, 2.225073858507201e-308, sys.float_info.min, 1.0, sys.float_info.max)
+    for s in (1.0, -1.0)
+]
+# One point on each boundary ray k*pi/4, as (x, y) signs.
+_RAYS = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
+
+
+def _ray_neighbour(m: float, ray: int, dx: int, dy: int) -> complex:
+    """The point at distance scale m on a boundary ray, each coordinate
+    moved dx, dy in {-1, 0, 1} floats down or up by ``nextafter``."""
+    cx, cy = _RAYS[ray]
+    x, y = cx * m, cy * m
+    return complex(
+        math.nextafter(x, dx * math.inf) if dx else x,
+        math.nextafter(y, dy * math.inf) if dy else y,
+    )
 
 
 def vertex_set(region):
@@ -362,6 +387,41 @@ class TestSectors:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             sector_of(complex(float("inf"), 0))
+
+    @given(
+        st.one_of(
+            st.builds(complex, _FINITE, _FINITE),
+            st.builds(complex, st.sampled_from(_EDGE_COORDS), st.sampled_from(_EDGE_COORDS)),
+            st.builds(
+                _ray_neighbour,
+                st.floats(min_value=5e-324, max_value=sys.float_info.max),
+                st.integers(0, 7),
+                st.integers(-1, 1),
+                st.integers(-1, 1),
+            ),
+        ).filter(lambda w: w and cmath.isfinite(w))
+    )
+    def test_agrees_with_eight_range_chain(self, w):
+        # Arbitrary finite pairs, edge coordinates, and points on or one
+        # float off a boundary ray (y = 0, y = +-x, x = 0) at any scale.
+        assert sector_of(w) == reference_sector_of(w), w
+
+    def test_agrees_with_eight_range_chain_on_every_edge_case(self):
+        cases = [complex(x, y) for x, y in itertools.product(_EDGE_COORDS, repeat=2)]
+        cases += [
+            _ray_neighbour(m, ray, dx, dy)
+            for m in (5e-324, 1e-310, sys.float_info.min, 1.0, 3.7e200, sys.float_info.max)
+            for ray in range(8)
+            for dx, dy in itertools.product((-1, 0, 1), repeat=2)
+        ]
+        for w in cases:
+            if not cmath.isfinite(w):
+                continue  # one float above the largest is inf
+            if w:
+                assert sector_of(w) == reference_sector_of(w), w
+            else:
+                with pytest.raises(SingularPointError):
+                    sector_of(w)
 
     def test_agrees_with_argument_arithmetic(self):
         rng = random.Random(21)

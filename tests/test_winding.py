@@ -127,12 +127,20 @@ class TestPredicates:
                 assert pred_q2(Sf, i, f) == pred_q2(Scf, i, cf)
 
     def test_one_sector_difference_decides_every_pair(self):
-        # ipsr reads a pair's connectivity and crossing from dk = ka - kb.
+        # ipsr reads a pair's connectivity and crossing from dk = ka - kb,
+        # through the one table geometry keeps; the modular rule written
+        # out here is the reference: equal or adjacent modulo 8, and a
+        # crossing only between sectors 7 and 0.
+        geometry = importlib.import_module("windroot.geometry")
+        winding = importlib.import_module("windroot.winding")
+        assert winding._CONNECTED_STEPS is geometry._CONNECTED_STEPS
         for ka in range(8):
             for kb in range(8):
                 dk = ka - kb
-                assert (dk in _CONNECTED_STEPS) == connected(ka, kb)
-                assert (dk == 7) - (dk == -7) == net_crossings([ka, kb])
+                adjacent = dk % 8 in (0, 1, 7)
+                crossing = ((ka, kb) == (7, 0)) - ((ka, kb) == (0, 7))
+                assert (dk in _CONNECTED_STEPS) == adjacent == connected(ka, kb)
+                assert _CONNECTED_STEPS.get(dk, 0) == crossing == net_crossings([ka, kb])
 
     def test_r_inclusive_at_exact_gap(self):
         S = image_array({0.0: 1 + 0j, 0.5: 1 + 0j, 2.5: 1 + 0j})
@@ -455,6 +463,32 @@ class TestIpsr:
         # A NaN guard never fires; an infinite one fires at the first split.
         with pytest.raises(ValueError, match="Q must be positive"):
             procedure(boundary(rect(-2, -2, 2, 2)), Q)
+
+    @pytest.mark.parametrize("L", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "procedure",
+        [
+            lambda delta, L, s0: ip(delta, L, s0, 1000),
+            lambda delta, L, s0: ips(delta, L, s0, 1e-3),
+        ],
+        ids=["ip", "ips"],
+    )
+    def test_lipschitz_constant_must_be_positive_and_finite(self, procedure, L):
+        # On z^3+1 over [-2,2]^2, which holds three roots, a NaN L fails
+        # every width test (index 0), L = 0 divides by zero, and a negative
+        # or infinite L bisects down to the guard: each is refused before
+        # any sample.
+        f = Polynomial((1, 0, 0, 1))
+        curve = boundary(rect(-2, -2, 2, 2))
+        sampled = []
+
+        def delta(t):
+            sampled.append(t)
+            return peval(f, curve(t))
+
+        with pytest.raises(ValueError, match="L must be positive"):
+            procedure(delta, L, [0.0, curve.perimeter])
+        assert sampled == []
 
     def test_zero_image_at_initial_sample(self):
         out, _, _ = self.run(Polynomial((-0.5, 1)), rect(0, 0, 1, 1))
