@@ -18,7 +18,7 @@ import math
 from ._frozen import Frozen
 from .errors import NoConvergenceError, SingularSuspectedError
 from .geometry import BoundaryCurve, ConvexRegion, contains
-from .poly import Polynomial, _horner, _horner_floor, derivative
+from .poly import Polynomial, _horner_floor, derivative, eval
 
 __all__ = [
     "RootList",
@@ -104,24 +104,23 @@ def _polish_clusters(f: Polynomial, zs: list[complex]) -> list[tuple[complex, in
         g = f
         for _ in range(m - 1):
             g = derivative(g)
-        dg = derivative(g)
         centroid = sum(members) / m
         z = centroid
         ok = False
         for _ in range(60):
-            dgz = _horner(dg.coeffs, z)
+            gz, dgz = eval(g, z)
             if dgz == 0:
                 break
-            step = _horner(g.coeffs, z) / dgz
+            step = gz / dgz
             z -= step
             if abs(step) <= 4e-16 * (1.0 + abs(z)):
                 ok = True
                 break
-        worst = max(abs(_horner(f.coeffs, w)) for w in members)
+        worst = max(abs(eval(f, w)[0]) for w in members)
         if (
             ok
             and abs(z - centroid) <= _POLISH_RADIUS
-            and abs(_horner(f.coeffs, z)) <= worst
+            and abs(eval(f, z)[0]) <= worst
         ):
             out.extend((z, i) for i in idx)
         else:
@@ -129,7 +128,7 @@ def _polish_clusters(f: Polynomial, zs: list[complex]) -> list[tuple[complex, in
     return out
 
 
-def _inclusion_radii(coeffs, abs_coeffs, zs: list[complex]) -> list[float]:
+def _inclusion_radii(f: Polynomial, abs_coeffs, zs: list[complex]) -> list[float]:
     """Radii n*|W_j| of disks about the approximations that hold every root.
 
     W_j = f(z_j) / (a_n * prod_{k != j} (z_j - z_k)) is the Weierstrass
@@ -143,11 +142,11 @@ def _inclusion_radii(coeffs, abs_coeffs, zs: list[complex]) -> list[float]:
     n = len(zs)
     radii: list[float] = []
     for j, z in enumerate(zs):
-        denom = coeffs[-1]
+        denom = f.coeffs[-1]
         for k, zk in enumerate(zs):
             if k != j:
                 denom *= z - zk
-        residual = abs(_horner(coeffs, z)) + _horner_floor(abs_coeffs, abs(z))
+        residual = abs(eval(f, z)[0]) + _horner_floor(abs_coeffs, abs(z))
         radii.append(n * residual / abs(denom) if denom != 0 else math.inf)
     return radii
 
@@ -166,7 +165,6 @@ def roots_reference(f: Polynomial) -> RootList:
     if n < 1:
         raise ValueError("a constant polynomial has no roots")
     coeffs = f.coeffs
-    dcoeffs = derivative(f).coeffs
     abs_coeffs = tuple(abs(c) for c in coeffs)
     # Fujiwara's bound 2*max_k |a_(n-k)/a_n|^(1/k), with the a_0 term
     # halved, encloses every root.  Unlike the Cauchy radius
@@ -190,14 +188,13 @@ def roots_reference(f: Polynomial) -> RootList:
         done = True
         new_zs: list[complex] = []
         for j, z in enumerate(zs):
-            fz = _horner(coeffs, z)
+            fz, dfz = eval(f, z)
             # Evaluation is meaningless below Horner's rounding floor,
             # which scales with sum(|a_k||z|^k); freezing there lets
             # multiple roots settle well inside the cluster radius.
             if abs(fz) <= _horner_floor(abs_coeffs, abs(z)):
                 new_zs.append(z)
                 continue
-            dfz = _horner(dcoeffs, z)
             if dfz == 0:
                 # Critical point: nudge off it and keep sweeping.
                 new_zs.append(z + 1e-6 * (1 + abs(z)))
@@ -223,7 +220,7 @@ def roots_reference(f: Polynomial) -> RootList:
 
     # Merge clusters (multiple roots) into centroids with multiplicity.
     # A centroid's radius covers the inclusion disks of its members.
-    radii = _inclusion_radii(coeffs, abs_coeffs, zs)
+    radii = _inclusion_radii(f, abs_coeffs, zs)
     polished = _polish_clusters(f, zs)
     points = [z for z, _ in polished]
     merged: list[tuple[complex, float]] = []

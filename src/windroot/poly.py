@@ -3,9 +3,10 @@
 The evaluation counter is the cost meter of the whole package: every
 root-finding bound downstream is expressed in "polynomial evaluations",
 so a metered ``eval`` adds one to the counter's count and keeps nothing
-else.  No value is cached here; the boundary test's sample window (see
-``EvalCounter``) serves repeated points, and a point it does not serve
-is evaluated, and counted, again.
+else.  One evaluation gives f(z) and f'(z) from one Horner loop, the
+package's only one over complex values.  No value is cached here; the
+boundary test's sample window (see ``EvalCounter``) serves repeated
+points, and a point it does not serve is evaluated, and counted, again.
 """
 
 from __future__ import annotations
@@ -25,9 +26,13 @@ class Polynomial(Frozen):
     ``coeffs`` is kept in ascending degree order with a nonzero leading
     coefficient.  Trailing zero coefficients are trimmed on construction;
     the zero polynomial and non-finite coefficients are rejected.
+    ``_pairs``, derived from ``coeffs`` and not a field, holds the pairs
+    (a_k, k*a_k) for k = n..1 that ``eval`` runs Horner's loop over and
+    ``derivative`` reads; a k*a_k that overflows is kept here, and
+    ``derivative`` refuses it.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_pairs")
 
     def __init__(self, coeffs):
         coeffs = tuple(complex(c) for c in coeffs)
@@ -41,6 +46,8 @@ class Polynomial(Frozen):
         if not coeffs:
             raise ValueError("the zero polynomial is not representable")
         object.__setattr__(self, "coeffs", coeffs)
+        pairs = tuple([(coeffs[k], k * coeffs[k]) for k in range(n - 1, 0, -1)])
+        object.__setattr__(self, "_pairs", pairs)
 
     @property
     def degree(self) -> int:
@@ -70,15 +77,14 @@ class EvalCounter:
     ``samples`` and ``previous_samples`` hold the boundary samples of
     ``winding.ipsr`` over a window of two subdivision levels, the current
     one and the one before.  Each maps a point z to its record, the tuple
-    ``(f(z), sector, |f(z)|, |f'(z)|)``; ``ipsr`` states how it reads
-    and fills them.  ``rdp`` calls ``next_level`` after each level, which
-    ages the window and drops the older level.  The window is the run's
-    only memo: a point that left it is evaluated again, to the same bits,
-    and counted again (about 2% of the window misses on the benchmark
-    workloads).  ``polynomial`` is the f whose f' ``derivative`` holds,
-    both set by the first ``ipsr`` call of the run, so that no later
-    boundary test builds f' again or finds it by hashing the
-    coefficients.
+    ``(f(z), sector, |f(z)|, |f'(z)|)``, made from one metered ``eval``;
+    ``ipsr`` states how it reads and fills them.  ``rdp`` calls
+    ``next_level`` after each level, which ages the window and drops the
+    older level.  The window is the run's only memo: a point that left it
+    is evaluated again, to the same bits, and counted again (about 2% of
+    the window misses on the benchmark workloads).  ``polynomial`` is the
+    f whose records the window holds, set by the first ``ipsr`` call of
+    the run.
 
     The window is not run-wide because nearly every repeated point
     recurs in its own level or the next (a cut part shares its boundary
@@ -88,14 +94,13 @@ class EvalCounter:
     the window's 60%, but raised peak RSS by 14% against 3.5%.
     """
 
-    __slots__ = ("_evaluations", "samples", "previous_samples", "polynomial", "derivative")
+    __slots__ = ("_evaluations", "samples", "previous_samples", "polynomial")
 
     def __init__(self):
         self._evaluations = 0
         self.samples = {}
         self.previous_samples = {}
         self.polynomial = None
-        self.derivative = None
 
     @property
     def evaluations(self) -> int:
@@ -105,13 +110,6 @@ class EvalCounter:
         """Age the sample window: the current level becomes the previous one."""
         self.previous_samples = self.samples
         self.samples = {}
-
-
-def _horner(coeffs: tuple[complex, ...], z: complex) -> complex:
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
 
 
 def _majorant(abs_coeffs: tuple[float, ...], r: float) -> float:
@@ -127,28 +125,38 @@ def _horner_floor(abs_coeffs: tuple[float, ...], r: float) -> float:
     return 4.0 * (len(abs_coeffs) - 1) * math.ulp(_majorant(abs_coeffs, r))
 
 
-def eval(f: Polynomial, z: complex, ctr: EvalCounter | None = None) -> complex:
-    """Return f(z) by the Horner recurrence, adding one to ``ctr``'s count.
+def eval(f: Polynomial, z: complex, ctr: EvalCounter | None = None) -> tuple[complex, complex]:
+    """Return ``(f(z), f'(z))`` from one Horner loop, adding one to ``ctr``'s count.
 
+    The loop runs over the pairs (a_k, k*a_k) for k = n..1, stepping
+    f' and f together, and ends with f's step for a_0: the same
+    operations, in the same order, as Horner's rule on ``f.coeffs`` and
+    on ``derivative(f).coeffs`` apart.  A constant gives f'(z) = 0j.
     With ``ctr=None`` the evaluation is not metered.  Results are
     bit-identical for identical ``z`` across calls, so a point evaluated
-    again gives the value it gave the first time.
+    again gives the values it gave the first time.
     """
     if ctr is not None:
         ctr._evaluations += 1
-    return _horner(f.coeffs, complex(z))
+    z = complex(z)
+    w = dw = 0j
+    for c, dc in f._pairs:
+        dw = dw * z + dc
+        w = w * z + c
+    return w * z + f.coeffs[0], dw
 
 
 def derivative(f: Polynomial) -> Polynomial:
-    """Return f' by the power rule; requires degree >= 1.
+    """Return f' by the power rule, from ``f``'s pairs; requires degree >= 1.
 
-    Nothing is cached here: ``winding.ipsr`` keeps f' on the run's
-    ``EvalCounter`` (see ``EvalCounter.derivative``), so a run builds it
-    once and no boundary test hashes the coefficients to find it.
+    Nothing is cached here.  ``eval`` gives f'(z) with f(z), so the
+    solver builds no f'; ``winding.ipsr`` calls this once per run only
+    for its refusals: a constant f, and a coefficient k*a_k that
+    overflows.
     """
     if f.degree < 1:
         raise ValueError("derivative requires a polynomial of degree >= 1")
-    return Polynomial(tuple((k + 1) * c for k, c in enumerate(f.coeffs[1:])))
+    return Polynomial([dc for _, dc in reversed(f._pairs)])
 
 
 def lipschitz_bound(f: Polynomial, region) -> float:

@@ -9,8 +9,8 @@ Three refinement procedures insert samples into a closed curve:
   with a structured singularity report instead of looping, certifying
   that the curve passes within L*Q/sin(pi/8) of the origin.
 * ``ipsr`` is the root-counting variant for polynomial images of a
-  region boundary: the width test uses a derivative evaluation instead
-  of a global curve bound, every polynomial evaluation is metered, and
+  region boundary: the width test uses |f'| at a sample instead of a
+  global curve bound, every polynomial evaluation is metered, and
   an error exit certifies a large condition number (a root close to the
   boundary).
 
@@ -21,9 +21,10 @@ parameters in the same walk that computes each initial point from its
 edge (see ``BoundaryCurve``), and reads each sample's image, sector,
 modulus and |f'| from the counter's two-level sample window inline,
 with no call per lookup (see ``ipsr``), which makes a point's record
-once, when the point is evaluated.  It tests each pair with one sector
-difference, whose entry in ``geometry._CONNECTED_STEPS`` decides both
-connectivity and the pair's crossing.
+once, from the one metered ``eval`` that gives f and f' there.  It
+tests each pair with one sector difference, whose entry in
+``geometry._CONNECTED_STEPS`` decides both connectivity and the pair's
+crossing.
 """
 
 from __future__ import annotations
@@ -176,9 +177,9 @@ def pred_q2(S: SampleArray, i: int, f: Polynomial) -> bool:
     """Derivative-scaled width test for polynomial images.
 
     True iff |w_i| + |w_{i+1}| <= 2*|f'(p_i)|*gap + |w_{i+1} - w_i|,
-    using one derivative evaluation at the left point.
+    with f'(p_i) from one unmetered ``eval`` at the left point.
     """
-    dmod = abs(eval(derivative(f), S.points[i]))
+    dmod = abs(eval(f, S.points[i])[1])
     wa, wb = S.images[i], S.images[i + 1]
     return abs(wa) + abs(wb) <= 2.0 * dmod * S.gap(i) + abs(wb - wa)
 
@@ -331,10 +332,12 @@ def ipsr(
     not increase strictly or that passes a vertex parameter, so nothing is
     looked up or evaluated for an ``s0`` it refuses.  The second reads or
     makes each initial sample's record.  The third is the refinement.
-    f' is built once per run and kept on ``ctr`` with f
-    (``EvalCounter.derivative`` and ``polynomial``); ValueError refuses,
-    before any evaluation, an f that is neither that object nor equal to
-    it, as the window holds that polynomial's records.
+    The first call of a run sets ``ctr.polynomial`` to f, after
+    ``derivative(f)`` has refused, with ValueError, a constant f and an f
+    whose derivative coefficient overflows; a later call refuses with
+    ValueError an f that is neither that object nor equal to it, as the
+    window holds that polynomial's records.  All three refusals come
+    before any lookup or evaluation.
 
     Each initial pair is refined to completion, left half before right
     half, before the next one starts.  That is the order in which the
@@ -360,17 +363,13 @@ def ipsr(
     the two sites, the initial samples and the midpoints, with no call
     per lookup: ``samples.get(p)`` (the current level); on a miss
     ``previous_samples.pop(p, None)``, whose record moves up into
-    ``samples``; on a second miss the record is made, once, from f
-    (metered through ``ctr``: each miss adds one to its count) and f'
-    (not metered), both by the module-global ``eval``, and stored in
-    ``samples``.  So a run's ``pe`` is its number of window misses, a
-    point that left the window and is evaluated again included.  f' on
-    every miss costs few extra evaluations, as nearly every sample is at
-    some point a left sample whose |f'| the width test reads: at seed
-    4712, +0.04% on the deep-low benchmark, +0.34% on clustered.  An
-    exact zero image gets no record, and ``ipsr`` exits with
-    SingularError at the first such parameter, for the initial samples
-    after every one is read.
+    ``samples``; on a second miss the record is made, once, from f and f'
+    by one call of the module-global ``eval``, metered through ``ctr``
+    (each miss adds one to its count), and stored in ``samples``.  So a
+    run's ``pe`` is its number of window misses, a point that left the
+    window and is evaluated again included.  An exact zero image gets no
+    record, and ``ipsr`` exits with SingularError at the first such
+    parameter, for the initial samples after every one is read.
     """
     if not 0.0 < Q < math.inf:
         raise ValueError("Q must be positive and finite")
@@ -407,9 +406,8 @@ def ipsr(
             ta = t
     except IndexError:
         raise ValueError("parameters must be strictly increasing") from None
-    df = ctr.derivative
-    if df is None:
-        df = ctr.derivative = derivative(f)
+    if ctr.polynomial is None:
+        derivative(f)  # its refusals only: a constant, an overflowing f'
         ctr.polynomial = f
     elif f is not ctr.polynomial and f != ctr.polynomial:
         raise ValueError("the counter serves another polynomial")
@@ -428,11 +426,11 @@ def ipsr(
         if r is None:
             r = previous_samples.pop(p, None)
             if r is None:
-                w = feval(f, p, ctr)
+                w, dw = feval(f, p, ctr)
                 if w == 0:
                     rs.append(None)
                     continue
-                r = (w, sector(w), abs(w), abs(feval(df, p)))
+                r = (w, sector(w), abs(w), abs(dw))
             samples[p] = r
         rs.append(r)
     if None in rs:
@@ -469,10 +467,10 @@ def ipsr(
             if rm is None:
                 rm = previous_samples.pop(pm, None)
                 if rm is None:
-                    w = feval(f, pm, ctr)
+                    w, dw = feval(f, pm, ctr)
                     if w == 0:
                         return SingularError(mid, guarantee, insertions)
-                    rm = (w, sector(w), abs(w), abs(feval(df, pm)))
+                    rm = (w, sector(w), abs(w), abs(dw))
                 samples[pm] = rm
             if mid - ta <= Q:
                 # The guard fired; as in ``_refine``, report the pre-split

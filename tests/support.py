@@ -18,6 +18,7 @@ from windroot import (
     boundary,
     contains,
     cut,
+    derivative,
     envelope,
 )
 from windroot.geometry import SIN_PI_8
@@ -179,6 +180,22 @@ def reference_sector_of(w: complex) -> int:
     if y < 0.0 and 0.0 <= x < -y:
         return 6
     return 7  # remaining case: y < 0 and x >= -y
+
+
+def reference_horner(coeffs, z: complex) -> complex:
+    """Horner's rule over ascending ``coeffs`` at ``z``: one loop, one polynomial."""
+    acc = 0j
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
+
+
+def reference_eval(f: Polynomial, z) -> tuple[complex, complex]:
+    """(f(z), f'(z)) by two Horner loops, over ``f.coeffs`` and over the
+    coefficients of ``derivative(f)`` (none for a constant, so f' = 0j)."""
+    z = complex(z)
+    dcoeffs = derivative(f).coeffs if f.degree else ()
+    return reference_horner(f.coeffs, z), reference_horner(dcoeffs, z)
 
 
 def float_bits(value):

@@ -63,7 +63,7 @@ class TestRootsReference:
             f = poly_from_roots(random_roots(rng, rng.randint(2, 8)), random_lead(rng))
             scale = 1 + max(abs(c) for c in f.coeffs)
             for r in roots_reference(f):
-                assert abs(peval(f, r)) <= 1e-10 * scale
+                assert abs(peval(f, r)[0]) <= 1e-10 * scale
 
     def test_factorization_reconstructs_coefficients(self):
         rng = random.Random(72)
@@ -92,7 +92,7 @@ class TestRootsReference:
         for r in got:
             assert cmath.isfinite(r)
             floor = sum(abs(c) * abs(r) ** k for k, c in enumerate(f.coeffs))
-            assert abs(peval(f, r)) <= 1e-12 * floor
+            assert abs(peval(f, r)[0]) <= 1e-12 * floor
         for z in roots:
             assert min(abs(z - r) for r in got) < 0.025
 
@@ -124,7 +124,7 @@ class TestWindingBrute:
     def test_three_roots_enclosed(self):
         curve = boundary(ngon(2.0))
         f = Polynomial((1, 0, 0, 1))
-        assert winding_brute(lambda t: peval(f, curve(t)), per=curve.perimeter) == 3
+        assert winding_brute(lambda t: peval(f, curve(t))[0], per=curve.perimeter) == 3
 
     def test_non_enclosing_curve(self):
         curve = boundary(ngon(1.0, center=3 + 0j))
@@ -137,7 +137,7 @@ class TestWindingBrute:
             f = poly_from_roots(roots, random_lead(rng))
             region = random_rect_clear_of(rng, roots, margin=0.05)
             curve = boundary(region)
-            got = winding_brute(lambda t: peval(f, curve(t)), per=curve.perimeter)
+            got = winding_brute(lambda t: peval(f, curve(t))[0], per=curve.perimeter)
             assert got == inside_count(roots, region)
 
     def test_origin_crossing_suspected(self, monkeypatch):
@@ -145,7 +145,7 @@ class TestWindingBrute:
         curve = boundary(rect(0, 0, 1, 1))
         f = Polynomial((-0.5, 1))  # exact zero on the bottom edge
         with pytest.raises(SingularSuspectedError):
-            winding_brute(lambda t: peval(f, curve(t)), per=curve.perimeter)
+            winding_brute(lambda t: peval(f, curve(t))[0], per=curve.perimeter)
 
 
 class TestDistances:
@@ -208,7 +208,7 @@ class TestCurveMinima:
             f = poly_from_roots(roots, random_lead(rng))
             region = random_rect_clear_of(rng, roots, margin=0.1)
             curve = boundary(region)
-            a = dist_origin_curve(lambda t: peval(f, curve(t)), per=curve.perimeter)
+            a = dist_origin_curve(lambda t: peval(f, curve(t))[0], per=curve.perimeter)
             b = min_image_modulus(f, curve)
             assert abs(a - b) <= 1e-6 * max(a, b)
 

@@ -9,9 +9,17 @@ import tracemalloc
 import pytest
 
 from windroot import Polynomial, derivative, eval, lipschitz_bound
-from windroot.poly import EvalCounter, _horner, _horner_floor
+from windroot.poly import EvalCounter, _horner_floor
 
-from support import float_bits, poly_from_roots, random_lead, random_roots, rect
+from support import (
+    float_bits,
+    poly_from_roots,
+    random_lead,
+    random_roots,
+    rect,
+    reference_eval,
+    reference_horner,
+)
 
 
 class TestConstruction:
@@ -66,14 +74,18 @@ class TestConstruction:
 
 class TestEval:
     def test_constant_term(self):
-        assert eval(Polynomial((1, 0, 0, 1)), 0j) == 1 + 0j
+        assert eval(Polynomial((1, 0, 0, 1)), 0j) == (1 + 0j, 0j)
 
     def test_known_root(self):
-        assert eval(Polynomial((1, 0, 0, 1)), -1 + 0j) == 0j
+        assert eval(Polynomial((1, 0, 0, 1)), -1 + 0j) == (0j, 3 + 0j)
 
     def test_direct_expansion_at_i(self):
-        # i^3 - 1 = -1 - i, exactly representable through Horner.
-        assert eval(Polynomial((-1, 0, 0, 1)), 1j) == complex(-1, -1)
+        # i^3 - 1 = -1 - i and 3 i^2 = -3, exactly representable through Horner.
+        assert eval(Polynomial((-1, 0, 0, 1)), 1j) == (complex(-1, -1), -3 + 0j)
+
+    def test_constant_has_slope_zero(self):
+        for z in (0j, 2.5 - 1j, 3, -0.5):
+            assert float_bits(eval(Polynomial((5 - 2j,)), z)) == float_bits((5 - 2j, 0j))
 
     def test_matches_power_sum_on_random_inputs(self):
         rng = random.Random(20260819)
@@ -85,12 +97,33 @@ class TestEval:
             z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
             f = Polynomial(coeffs)
             naive = sum(c * z**k for k, c in enumerate(coeffs))
-            assert abs(eval(f, z) - naive) <= 1e-12 * (1 + abs(naive))
+            assert abs(eval(f, z)[0] - naive) <= 1e-12 * (1 + abs(naive))
 
     def test_bit_identical_across_calls(self):
         f = Polynomial((0.1, 0.2, 0.3))
         z = complex(1.7182818, -0.5772157)
         assert eval(f, z) == eval(f, z)
+
+    def test_value_and_slope_match_two_horner_loops_bit_for_bit(self):
+        # One loop over the pairs (a_k, k a_k) makes the operations of
+        # Horner's rule on f and on f' apart, in the same order, so both
+        # parts agree to the bit, signed zeros included.
+        rng = random.Random(3301)
+        zero_parts = (0.0, -0.0)
+        points = [complex(x, y) for x in zero_parts for y in zero_parts]
+        points += [complex(x, s) for x in (1.5, -0.75) for s in zero_parts]
+        points += [complex(s, y) for y in (2.25, -1e-3) for s in zero_parts]
+        points += [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(6)]
+        points += [0, 3, -2, 0.5, -0.0, 1e-200]  # int and float z
+        for n in range(65):
+            random_coeffs = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n + 1)]
+            for f in (
+                Polynomial(random_coeffs),
+                Polynomial((-1,) + (0,) * (n - 1) + (1,)) if n else Polynomial((-1,)),
+                Polynomial([complex(-0.0, c.imag) for c in random_coeffs]),
+            ):
+                for z in points:
+                    assert float_bits(eval(f, z)) == float_bits(reference_eval(f, z)), (n, z)
 
 
 class TestEvalCounter:
@@ -111,8 +144,7 @@ class TestEvalCounter:
             ctr.samples,
             ctr.previous_samples,
             ctr.polynomial,
-            ctr.derivative,
-        ) == (0, {}, {}, None, None)
+        ) == (0, {}, {}, None)
         for z in (1j, 2j, 1j, 3j):
             eval(Polynomial((1, 1)), z, ctr)
         # The sample window of the boundary test is not metered.
@@ -123,7 +155,7 @@ class TestEvalCounter:
             ctr.evaluations = 0
 
     def test_uncounted_when_counter_absent(self):
-        assert eval(Polynomial((1, 1)), 2 + 0j) == 3 + 0j
+        assert eval(Polynomial((1, 1)), 2 + 0j) == (3 + 0j, 1 + 0j)
 
     def test_metered_eval_stores_no_value(self):
         # No value is stored: a metered call computes what an unmetered one
@@ -168,12 +200,14 @@ class TestDerivative:
 
     def test_no_module_level_cache(self):
         # A cache keyed by the polynomial hashed every coefficient on each
-        # boundary test; the run's counter keeps f' instead.
+        # boundary test; ``eval`` gives f' with f instead.
         assert not hasattr(derivative, "cache_info")
         f = Polynomial((1, 2, 3))
         assert derivative(f) is not derivative(f)
 
-    def test_counter_keeps_the_derivative_of_its_run(self, monkeypatch):
+    def test_each_run_checks_its_polynomial_once(self, monkeypatch):
+        # The first boundary test of a run calls ``derivative`` only for its
+        # refusals; no later one builds f' (``eval`` gives f' with f).
         from windroot import boundary, initial_samples, ipsr
 
         winding = importlib.import_module("windroot.winding")
@@ -183,13 +217,12 @@ class TestDerivative:
         )
         f = Polynomial((1, 0, 0, 1))
         ctr = EvalCounter()
-        assert ctr.derivative is None
         for region in (rect(-2, -2, 2, 2), rect(-2, -2, 0, 0), rect(0, 0, 2, 2)):
             curve = boundary(region)
             ipsr(curve, f, initial_samples(curve), 1e-3, ctr)
         assert built == [f]
-        assert ctr.derivative == derivative(f)
-        # A new counter, as each run makes, builds it again.
+        assert ctr.polynomial is f
+        # A new counter, as each run makes, checks again.
         ipsr(curve, f, initial_samples(curve), 1e-3, EvalCounter())
         assert built == [f, f]
 
@@ -201,8 +234,9 @@ class TestDerivative:
             f = poly_from_roots(roots, random_lead(rng))
             df = derivative(f)
             z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            quotient = (eval(f, z + h) - eval(f, z - h)) / (2 * h)
-            exact = eval(df, z)
+            quotient = (eval(f, z + h)[0] - eval(f, z - h)[0]) / (2 * h)
+            exact = eval(f, z)[1]
+            assert exact == eval(df, z)[0]
             assert abs(exact - quotient) <= 1e-4 * (1 + abs(exact))
 
 
@@ -220,7 +254,7 @@ class TestHornerFloor:
                 for _ in range(rng.randint(2, 40))
             )
             r = 10 ** rng.uniform(-3, 3)
-            old = 4.0 * (len(abs_coeffs) - 1) * math.ulp(abs(_horner(abs_coeffs, r)))
+            old = 4.0 * (len(abs_coeffs) - 1) * math.ulp(abs(reference_horner(abs_coeffs, r)))
             if math.isfinite(old):
                 assert _horner_floor(abs_coeffs, r) == old
 
@@ -255,8 +289,7 @@ class TestLipschitzBound:
             )
             bound = lipschitz_bound(f, region)
             curve = boundary(region)
-            df = derivative(f)
             sup = max(
-                abs(eval(df, curve(curve.perimeter * k / 10_000))) for k in range(10_000)
+                abs(eval(f, curve(curve.perimeter * k / 10_000))[1]) for k in range(10_000)
             )
             assert bound >= sup

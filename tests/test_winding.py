@@ -20,7 +20,6 @@ from windroot import (
     boundary,
     choose_q,
     cut,
-    derivative,
     divide,
     envelope,
     initial_samples,
@@ -50,6 +49,7 @@ from support import (
     random_rect_clear_of,
     rect,
     reference_curve,
+    reference_eval,
     reference_initial_samples,
 )
 
@@ -102,13 +102,13 @@ class TestPredicates:
     def test_q2_short_step_far_from_root(self):
         f = Polynomial((0, 1))
         pts = {0.0: 1 + 0j, 0.1: 1.1 + 0j}
-        S = SampleArray([0.0, 0.1], lambda t: (pts[t], peval(f, pts[t])))
+        S = SampleArray([0.0, 0.1], lambda t: (pts[t], peval(f, pts[t])[0]))
         assert not pred_q2(S, 0, f)
 
     def test_q2_symmetric_straddle_of_root(self):
         f = Polynomial((0, 1))
         pts = {0.0: -0.05 + 0j, 0.1: 0.05 + 0j}
-        S = SampleArray([0.0, 0.1], lambda t: (pts[t], peval(f, pts[t])))
+        S = SampleArray([0.0, 0.1], lambda t: (pts[t], peval(f, pts[t])[0]))
         assert pred_q2(S, 0, f)
 
     def test_q2_invariant_under_constant_scaling(self):
@@ -121,8 +121,8 @@ class TestPredicates:
             region = random_rect_clear_of(rng, roots, margin=0.05)
             curve = boundary(region)
             base = initial_samples(curve)
-            Sf = SampleArray(base, lambda t: (curve(t), peval(f, curve(t))))
-            Scf = SampleArray(base, lambda t: (curve(t), peval(cf, curve(t))))
+            Sf = SampleArray(base, lambda t: (curve(t), peval(f, curve(t))[0]))
+            Scf = SampleArray(base, lambda t: (curve(t), peval(cf, curve(t))[0]))
             for i in range(Sf.m):
                 assert pred_q2(Sf, i, f) == pred_q2(Scf, i, cf)
 
@@ -189,9 +189,9 @@ class TestIp:
         curve = boundary(region)
         f = Polynomial((0, 0, 1))
         L = lipschitz_bound(f, region)
-        S = ip(lambda t: peval(f, curve(t)), L, uniform_params(curve), 10_000)
+        S = ip(lambda t: peval(f, curve(t))[0], L, uniform_params(curve), 10_000)
         assert net_crossings(S.sectors()) == 2
-        assert winding_brute(lambda t: peval(f, curve(t)), per=curve.perimeter) == 2
+        assert winding_brute(lambda t: peval(f, curve(t))[0], per=curve.perimeter) == 2
 
     def test_displaced_circle_no_turns(self):
         curve = boundary(ngon(1.0, center=3 + 0j))
@@ -202,8 +202,9 @@ class TestIp:
         region = ngon(1.0)
         curve = boundary(region)
         f = Polynomial((0, 0, 1))
+        delta = lambda t: peval(f, curve(t))[0]
         with pytest.raises(NonTerminationError):
-            ip(lambda t: peval(f, curve(t)), lipschitz_bound(f, region), uniform_params(curve), 3)
+            ip(delta, lipschitz_bound(f, region), uniform_params(curve), 3)
 
     def test_exact_zero_image_raises_with_parameter(self):
         curve = boundary(rect(0, -1, 2, 1))  # passes through the origin at t = 7
@@ -227,7 +228,7 @@ class TestIp:
             eps = abs(f.coeffs[-1]) * d ** f.degree
             span = curve.perimeter
             widest = widest_gap(s0)
-            S = ip(lambda t: peval(f, curve(t)), L, s0, 200_000)
+            S = ip(lambda t: peval(f, curve(t))[0], L, s0, 200_000)
             bound = (4 * L * span / (math.pi * eps)) * math.floor(
                 L * widest / eps
             ) * math.ceil(math.log2(4 * L * widest / (math.pi * eps))) + (
@@ -316,10 +317,10 @@ class TestIpsr:
         ctr = EvalCounter()
         cube, line = Polynomial((1, 0, 0, 1)), Polynomial((-9, 1))
         assert ipsr(curve, cube, initial_samples(curve), 1e-3, ctr) == Normal(3, 40)
-        before = (ctr.evaluations, dict(ctr.samples), ctr.polynomial, ctr.derivative)
+        before = (ctr.evaluations, dict(ctr.samples), ctr.polynomial)
         with pytest.raises(ValueError, match="^the counter serves another polynomial$"):
             ipsr(curve, line, initial_samples(curve), 1e-3, ctr)
-        assert (ctr.evaluations, ctr.samples, ctr.polynomial, ctr.derivative) == before
+        assert (ctr.evaluations, ctr.samples, ctr.polynomial) == before
         assert ipsr(curve, line, initial_samples(curve), 1e-3, EvalCounter()) == Normal(0, 0)
 
     def test_counter_serves_an_equal_polynomial_built_anew(self):
@@ -337,8 +338,8 @@ class TestIpsr:
         assert ctr.evaluations == len(initial_samples(curve)) - 1 + out.insertions
 
     def test_sample_window_spans_two_levels(self, monkeypatch):
-        # A sample in the window is neither evaluated (f with the counter,
-        # f' without) nor classified again.
+        # A sample in the window is neither evaluated (the one metered call
+        # that gives f and f') nor classified again.
         winding_module = importlib.import_module("windroot.winding")
         original_eval, original_sector = winding_module.eval, winding_module.sector_of
         f_evals, df_evals, sectors = [], [], []
@@ -365,8 +366,9 @@ class TestIpsr:
         first = rerun()
         assert isinstance(first, Normal)
         cold = (len(f_evals), len(df_evals), len(sectors))
-        # The closure revisits the start point, which the window serves.
-        assert cold[0] == cold[1] == cold[2] == len(ctr.samples) == ctr.evaluations
+        # The closure revisits the start point, which the window serves;
+        # no evaluation goes unmetered.
+        assert cold[0] == cold[2] == len(ctr.samples) == ctr.evaluations and cold[1] == 0
         assert rerun() == first and f_evals == df_evals == sectors == []
         ctr.next_level()  # the previous level still serves, and moves up
         assert rerun() == first and f_evals == df_evals == sectors == []
@@ -397,41 +399,36 @@ class TestIpsr:
         boxes, stats = rdp(rect(-2, -2, 2, 2), f, 1e-6)
         assert [b.count for b in boxes] == [1, 1, 1]
         assert len(levels) > stats.max_level > 10
-        df = derivative(f)
         for window in levels.values():
             for z, record in window.items():
                 assert type(record) is tuple
-                w = peval(f, z)
-                want = (w, sector_of(w), abs(w), abs(peval(df, z)))
+                w, dw = reference_eval(f, z)
+                want = (w, sector_of(w), abs(w), abs(dw))
                 assert float_bits(record) == float_bits(want)
 
-    def test_one_derivative_evaluation_per_nonzero_metered_one(self, monkeypatch):
-        # Each metered evaluation of f that is not zero is followed at once
-        # by the unmetered evaluation of f' at the same point, which
-        # completes the point's record; a zero image makes no record.
+    def test_every_solve_path_eval_is_metered(self, monkeypatch):
+        # A window miss makes its record, f' included, from one metered
+        # call: every ``winding.eval`` call of a run passes the run's
+        # counter, and there are as many calls as the counter counts.
         winding_module = importlib.import_module("windroot.winding")
         original_eval = winding_module.eval
         calls = []
 
         def recording_eval(g, z, ctr=None):
-            w = original_eval(g, z, ctr)
-            calls.append((ctr is not None, z, w))
-            return w
+            calls.append(ctr)
+            return original_eval(g, z, ctr)
 
         monkeypatch.setattr(winding_module, "eval", recording_eval)
         # A whole run, a zero image at an initial sample (0.5) and one at a
         # midpoint (0.25).
-        rdp(rect(-2, -2, 2, 2), Polynomial((1, 0, 0, 1)), 1e-6)
+        _, stats = rdp(rect(-2, -2, 2, 2), Polynomial((1, 0, 0, 1)), 1e-6)
+        assert None not in calls and len(set(map(id, calls))) == 1
+        assert len(calls) == stats.pe > 1000
         for root in (0.5, 0.25):
-            out, _, _ = self.run(Polynomial((-root, 1)), rect(0, 0, 1, 1))
+            calls.clear()
+            out, _, ctr = self.run(Polynomial((-root, 1)), rect(0, 0, 1, 1))
             assert isinstance(out, SingularError) and out.t == root
-        want = []
-        for metered, z, w in calls:
-            if metered:
-                want.append((True, z))
-                if w != 0:
-                    want.append((False, z))
-        assert [(metered, z) for metered, z, _ in calls] == want
+            assert calls == [ctr] * ctr.evaluations
 
     @pytest.mark.xfail(
         strict=True,
@@ -444,7 +441,7 @@ class TestIpsr:
         roots = [5.62 + 0.05j, 5.76 - 0.0757j, 8.47 + 0.0637j]
         f = poly_from_roots(roots)
         curve = boundary(rect(0, 0, 10, 0.1))
-        assert winding_brute(lambda t: peval(f, curve(t)), per=curve.perimeter) == 2
+        assert winding_brute(lambda t: peval(f, curve(t))[0], per=curve.perimeter) == 2
         out = ipsr(curve, f, initial_samples(curve), choose_q(1e-4, 3, 3), EvalCounter())
         assert isinstance(out, Normal) and out.index == 2
 
@@ -484,7 +481,7 @@ class TestIpsr:
 
         def delta(t):
             sampled.append(t)
-            return peval(f, curve(t))
+            return peval(f, curve(t))[0]
 
         with pytest.raises(ValueError, match="L must be positive"):
             procedure(delta, L, [0.0, curve.perimeter])
@@ -526,7 +523,7 @@ def refined_scan(curve, f, s0, Q, ctr):
 
     def sample(t):
         p = curve(t)
-        return p, peval(f, p, ctr)
+        return p, peval(f, p, ctr)[0]
 
     S = SampleArray(s0, sample)
     guarantee = math.sqrt(2.0) / (4.0 * Q)
@@ -578,7 +575,7 @@ def window_misses(f, points, held):
     for p in points:
         if p not in held:
             misses.append(p)
-            if peval(f, p) != 0:
+            if peval(f, p)[0] != 0:
                 held.add(p)
     return misses
 
@@ -950,6 +947,28 @@ class TestSamplesFromEdges:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ipsr(curve, f, bad, 1e-3, ctr)
         assert (ctr.evaluations, ctr.samples, ctr.previous_samples) == before
+
+    @pytest.mark.parametrize(
+        "coeffs, message",
+        [
+            ((-1,) + (0,) * 99 + (1e307,), "non-finite coefficient (inf+0j)"),
+            ((5,), "derivative requires a polynomial of degree >= 1"),
+        ],
+        ids=["overflowing-derivative", "constant"],
+    )
+    def test_polynomial_refusals_come_before_any_evaluation(self, coeffs, message):
+        # f = 1e307 z^100 - 1 builds, but its f' coefficient 1e309 is beyond
+        # double range, and a constant has no f' to bound a gap with: each is
+        # refused before the first sample is looked up or evaluated.
+        f = Polynomial(coeffs)
+        assert f.coeffs == tuple(complex(c) for c in coeffs)
+        curve = boundary(rect(0, 0, 0.01, 0.01))
+        ctr = EvalCounter()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ipsr(curve, f, initial_samples(curve), 1e-4, ctr)
+        assert ctr.evaluations == 0
+        assert ctr.samples == {} and ctr.previous_samples == {}
+        assert ctr.polynomial is None
 
     def test_initial_samples_returns_a_fresh_list_and_writes_nothing(self):
         rng = random.Random(7414)
